@@ -5,15 +5,8 @@
 //! seam: [`controller_for`] turns a negotiated [`CcKind`] into a boxed
 //! [`CongestionControl`], so adding a controller touches the registry here
 //! and nothing in the endpoint.
-//!
-//! The old closed-enum dispatcher [`CcMachine`] remains as a deprecated
-//! shim for one release; it only knows the original three TFRC-family
-//! variants and panics on the window/model controllers.
 
 use qtp_cc::{BbrLite, CongestionControl, Cubic, FixedCc, GtfrcCc, TfrcCc};
-use qtp_simnet::time::{Rate, SimTime};
-use qtp_tfrc::{GtfrcSender, SenderConfig, TfrcSender};
-use std::time::Duration;
 
 use crate::caps::CcKind;
 
@@ -28,129 +21,11 @@ pub fn controller_for(kind: CcKind, s: u32) -> Box<dyn CongestionControl> {
     }
 }
 
-/// A congestion-control machine chosen at negotiation time.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `controller_for` and the `qtp_cc::CongestionControl` trait; \
-            CcMachine cannot represent the Cubic/BbrLite controllers"
-)]
-#[derive(Debug, Clone)]
-pub enum CcMachine {
-    Tfrc(TfrcSender),
-    Gtfrc(GtfrcSender),
-    /// Open-loop fixed rate (ablation tool; ignores feedback).
-    Fixed {
-        rate: Rate,
-        s: u32,
-    },
-}
-
-#[allow(deprecated)]
-impl CcMachine {
-    /// Instantiate from the negotiated kind.
-    ///
-    /// # Panics
-    ///
-    /// On [`CcKind::Cubic`] and [`CcKind::BbrLite`] — the closed enum
-    /// predates them; use [`controller_for`].
-    pub fn new(kind: CcKind, s: u32) -> Self {
-        match kind {
-            CcKind::Tfrc => CcMachine::Tfrc(TfrcSender::new(SenderConfig::new(s))),
-            CcKind::Gtfrc { target } => {
-                CcMachine::Gtfrc(GtfrcSender::new(SenderConfig::new(s), target))
-            }
-            CcKind::Fixed { rate } => CcMachine::Fixed { rate, s },
-            CcKind::Cubic | CcKind::BbrLite => panic!(
-                "CcMachine is deprecated and cannot host {kind:?}; \
-                 use qtp_core::cc::controller_for"
-            ),
-        }
-    }
-
-    /// Seed the RTT from the handshake.
-    pub fn seed_rtt(&mut self, now: SimTime, rtt: Duration) {
-        match self {
-            CcMachine::Tfrc(tx) => tx.seed_rtt(now, rtt),
-            CcMachine::Gtfrc(tx) => tx.seed_rtt(now, rtt),
-            CcMachine::Fixed { .. } => {}
-        }
-    }
-
-    /// Process a feedback report (`p` chosen by the endpoint's feedback
-    /// mode — the composition seam).
-    pub fn on_feedback(
-        &mut self,
-        now: SimTime,
-        ts_echo: SimTime,
-        t_delay: Duration,
-        x_recv: f64,
-        p: f64,
-    ) {
-        match self {
-            CcMachine::Tfrc(tx) => tx.on_feedback(now, ts_echo, t_delay, x_recv, p),
-            CcMachine::Gtfrc(tx) => tx.on_feedback(now, ts_echo, t_delay, x_recv, p),
-            CcMachine::Fixed { .. } => {}
-        }
-    }
-
-    /// Nofeedback-timer expiry.
-    pub fn on_nofeedback_timer(&mut self, now: SimTime) {
-        match self {
-            CcMachine::Tfrc(tx) => tx.on_nofeedback_timer(now),
-            CcMachine::Gtfrc(tx) => tx.on_nofeedback_timer(now),
-            CcMachine::Fixed { .. } => {}
-        }
-    }
-
-    /// Current nofeedback deadline (far future for fixed rate).
-    pub fn nofeedback_deadline(&self) -> SimTime {
-        match self {
-            CcMachine::Tfrc(tx) => tx.nofeedback_deadline(),
-            CcMachine::Gtfrc(tx) => tx.nofeedback_deadline(),
-            CcMachine::Fixed { .. } => SimTime::MAX,
-        }
-    }
-
-    /// Allowed sending rate, bytes/second.
-    pub fn allowed_rate(&self) -> f64 {
-        match self {
-            CcMachine::Tfrc(tx) => tx.allowed_rate(),
-            CcMachine::Gtfrc(tx) => tx.allowed_rate(),
-            CcMachine::Fixed { rate, .. } => rate.bytes_per_sec(),
-        }
-    }
-
-    /// Inter-packet gap at the allowed rate.
-    pub fn send_interval(&self) -> Duration {
-        match self {
-            CcMachine::Tfrc(tx) => tx.send_interval(),
-            CcMachine::Gtfrc(tx) => tx.send_interval(),
-            CcMachine::Fixed { rate, s } => rate.tx_time(*s),
-        }
-    }
-
-    /// Smoothed RTT, if known.
-    pub fn rtt(&self) -> Option<Duration> {
-        match self {
-            CcMachine::Tfrc(tx) => tx.rtt(),
-            CcMachine::Gtfrc(tx) => tx.tfrc().rtt(),
-            CcMachine::Fixed { .. } => None,
-        }
-    }
-
-    /// Sender-side CC processing operations so far.
-    pub fn ops(&self) -> u64 {
-        match self {
-            CcMachine::Tfrc(tx) => tx.meter.total(),
-            CcMachine::Gtfrc(tx) => tx.tfrc().meter.total(),
-            CcMachine::Fixed { .. } => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qtp_simnet::time::{Rate, SimTime};
+    use std::time::Duration;
 
     #[test]
     fn factory_builds_each_kind() {
@@ -217,34 +92,5 @@ mod tests {
             newly_lost_pkts: 10,
         });
         assert!(g.allowed_rate() >= 125_000.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_still_builds_the_original_kinds() {
-        let t = CcMachine::new(CcKind::Tfrc, 1000);
-        assert!(matches!(t, CcMachine::Tfrc(_)));
-        let g = CcMachine::new(
-            CcKind::Gtfrc {
-                target: Rate::from_mbps(2),
-            },
-            1000,
-        );
-        assert!(matches!(g, CcMachine::Gtfrc(_)));
-        assert!(g.allowed_rate() >= 250_000.0, "gTFRC floor is the target");
-        let f = CcMachine::new(
-            CcKind::Fixed {
-                rate: Rate::from_kbps(800),
-            },
-            1000,
-        );
-        assert_eq!(f.allowed_rate(), 100_000.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "controller_for")]
-    fn deprecated_shim_refuses_the_new_kinds() {
-        let _ = CcMachine::new(CcKind::Cubic, 1000);
     }
 }

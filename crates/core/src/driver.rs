@@ -12,15 +12,15 @@
 //!   / `on_timer`, each receiving the current time through an [`Outbox`];
 //! * [`Outbox`] — the buffered command queue an endpoint writes effects
 //!   into; the driver drains it with [`Outbox::poll_cmd`] after every
-//!   callback (quinn-style `poll_transmit`/`poll_timeout` drivers are a
-//!   straightforward `match` over the drained [`Command`]s);
+//!   callback and applies each [`Command`] in order;
 //! * [`TimerGens`] — the generation-counter helper that makes
 //!   fire-and-forget timers cancellable in effect.
 //!
-//! Two drivers exist today: [`SimAgent`](crate::adapter::SimAgent) adapts an
+//! Two drivers exist: [`SimAgent`](crate::adapter::SimAgent) adapts an
 //! endpoint to the discrete-event simulator's `Agent` interface, and
-//! `qtp-io`'s `UdpDriver` runs one over a real `std::net::UdpSocket` with a
-//! monotonic wall clock mapped onto [`SimTime`].
+//! `qtp-io`'s `MuxDriver` runs any number of them over one real
+//! `std::net::UdpSocket` with a monotonic wall clock mapped onto
+//! [`SimTime`].
 //!
 //! # Command ordering
 //!

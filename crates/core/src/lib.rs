@@ -21,9 +21,10 @@
 //! | `QTPlight` | TFRC      | None/partial| SenderLoss   |
 //!
 //! See [`session`] for the application-facing API (fluent [`Profile`]s,
-//! poll-style [`Session`]s, the backend seam), [`caps`] for negotiation,
-//! [`wire`] for the byte-level formats, and [`estimator`] for the
-//! sender-side loss estimation that makes QTPlight possible.
+//! [`Session`]s driven through the [`driver`] seam, the backend seam),
+//! [`caps`] for negotiation, [`wire`] for the byte-level formats, and
+//! [`estimator`] for the sender-side loss estimation that makes QTPlight
+//! possible.
 
 pub mod adapter;
 mod bufext;
@@ -31,7 +32,6 @@ pub mod caps;
 pub mod cc;
 pub mod driver;
 pub mod estimator;
-pub mod instances;
 pub mod probe;
 pub mod receiver;
 pub mod sender;
@@ -42,16 +42,8 @@ pub mod wire;
 pub use adapter::{SimAgent, SimHost};
 pub use caps::{CapabilitySet, CapsError, CcKind, FeedbackMode, ServerPolicy};
 pub use cc::controller_for;
-#[allow(deprecated)]
-pub use cc::CcMachine;
 pub use driver::{Command, Endpoint, Outbox, TimerGens, Transmit};
 pub use estimator::SenderLossEstimator;
-pub use instances::QtpHandles;
-#[allow(deprecated)]
-pub use instances::{
-    attach_qtp, cbr_app, qtp_af_sender, qtp_light_partial_sender, qtp_light_sender,
-    qtp_standard_sender,
-};
 pub use probe::{Probe, ProbeData};
 pub use receiver::{QtpReceiver, QtpReceiverConfig};
 pub use sender::{AppModel, QtpSender, QtpSenderConfig};

@@ -19,7 +19,7 @@
 //! timers and emitting transmit/timer commands into an
 //! [`Outbox`](crate::driver::Outbox). Drivers decide what those commands
 //! mean — [`SimAgent`](crate::adapter::SimAgent) replays them into the
-//! discrete-event simulator, `qtp-io`'s `UdpDriver` onto a real UDP socket.
+//! discrete-event simulator, `qtp-io`'s `MuxDriver` onto a real UDP socket.
 //!
 //! [`ReliabilityPolicy`]: qtp_sack::ReliabilityPolicy
 

@@ -1,5 +1,5 @@
 //! The backend-neutral application API: fluent service profiles and
-//! poll-style connection sessions.
+//! sans-io connection sessions.
 //!
 //! The paper's thesis is that applications *negotiate* a transport service
 //! per connection from three orthogonal axes (reliability, receiver
@@ -15,27 +15,24 @@
 //!   the offered profile, the traffic model, the receiver's negotiation
 //!   policy. Plans are backend-neutral descriptions; every backend runs
 //!   the same plan unchanged.
-//! * [`Session`] — a sans-io connection object in the tradition of
-//!   quinn-proto: feed it datagrams ([`Session::handle_input`]) and time
-//!   ([`Session::on_timeout`]), poll it for datagrams to send
-//!   ([`Session::poll_transmit`]), the next wakeup
-//!   ([`Session::poll_timeout`]) and typed events
-//!   ([`Session::poll_event`]: `Connected`, `Delivered`, `TtlExpired`,
-//!   `Rejected`, `Closed`). A `Session` also implements the lower-level
-//!   [`Endpoint`] seam, so every existing driver (the simulator's
-//!   [`SimAgent`](crate::adapter::SimAgent), `qtp-io`'s `UdpDriver` and
-//!   `MuxDriver`) mounts it directly.
+//! * [`Session`] — a sans-io connection object: one side of a connection
+//!   wrapped in the [`Endpoint`] seam (datagrams and timer fires in,
+//!   [`Outbox`] commands out), plus typed events on a [`SessionEvents`]
+//!   queue (`Connected`, `Delivered`, `TtlExpired`, `Rejected`,
+//!   `Closed`, …). Every driver — the simulator's
+//!   [`SimAgent`] and `qtp-io`'s `MuxDriver` —
+//!   mounts it directly.
 //! * [`Backend`] — the run-a-scenario seam: hand any backend a slice of
 //!   plans and get per-connection [`ConnectionOutcome`]s back.
 //!   [`SimBackend`] (here) drives plans through the deterministic
 //!   simulator; `qtp_io::backend::{UdpBackend, MuxBackend}` drive the
-//!   *same plans* over real UDP sockets, single-socket-per-connection or
-//!   multiplexed.
+//!   *same plans* over real UDP sockets, one socket pair per connection
+//!   or every connection over one pair.
 //!
 //! QUIC implementations converged on exactly this shape — one sans-io
-//! connection object, many I/O strategies — and it is what lets a single
-//! program here run unchanged on the simulator, the blocking UDP driver
-//! and the multi-flow mux.
+//! connection object behind one thin event loop — and it is what lets a
+//! single program here run unchanged on the simulator and over real
+//! sockets.
 
 use qtp_metrics::trace::{TraceEventKind, TraceRegistry, Tracer};
 use qtp_sack::ReliabilityMode;
@@ -44,14 +41,13 @@ use qtp_simnet::prelude::*;
 use qtp_simnet::sim::Simulator;
 use qtp_simnet::topology::{Dumbbell, DumbbellConfig};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
 use crate::adapter::{SimAgent, SimHost};
 use crate::caps::{CapabilitySet, CapsError, CcKind, FeedbackMode, ServerPolicy};
-use crate::driver::{Command, Endpoint, Outbox, Transmit};
+use crate::driver::{Command, Endpoint, Outbox};
 use crate::probe::{Probe, ProbeData};
 use crate::receiver::{QtpReceiver, QtpReceiverConfig};
 use crate::sender::{AppModel, QtpSender, QtpSenderConfig};
@@ -532,53 +528,21 @@ pub struct SessionEvents {
 }
 
 impl SessionEvents {
+    /// Queue an event. Counting events (`Delivered`, `TtlExpired`,
+    /// `Readable`) fold into an event of the same kind already at the
+    /// queue tail, and a `Rejected` identical to the tail (a peer
+    /// retransmitting one malformed SYN) is dropped — an unbounded-growth
+    /// guard for observers that only read events after the run, or never.
     fn push(&self, ev: SessionEvent) {
-        self.inner.borrow_mut().push_back(ev);
-    }
-
-    /// Record a delivery, coalescing with a `Delivered` event already at
-    /// the queue tail (unbounded-growth guard for observers that only
-    /// read events after the run — or never).
-    fn push_delivered(&self, bytes: u64) {
+        use SessionEvent::*;
         let mut q = self.inner.borrow_mut();
-        if let Some(SessionEvent::Delivered { bytes: tail }) = q.back_mut() {
-            *tail += bytes;
-            return;
+        match (q.back_mut(), &ev) {
+            (Some(Delivered { bytes: tail }), Delivered { bytes }) => *tail += bytes,
+            (Some(TtlExpired { packets: tail }), TtlExpired { packets }) => *tail += packets,
+            (Some(Readable { messages: tail }), Readable { messages }) => *tail += messages,
+            (Some(tail), Rejected { .. }) if *tail == ev => {}
+            _ => q.push_back(ev),
         }
-        q.push_back(SessionEvent::Delivered { bytes });
-    }
-
-    /// Record TTL/budget expiry, coalescing at the queue tail like
-    /// [`SessionEvents::push_delivered`] — a long-lived TTL-streaming
-    /// session otherwise grows one event per expiry burst.
-    fn push_ttl_expired(&self, packets: u64) {
-        let mut q = self.inner.borrow_mut();
-        if let Some(SessionEvent::TtlExpired { packets: tail }) = q.back_mut() {
-            *tail += packets;
-            return;
-        }
-        q.push_back(SessionEvent::TtlExpired { packets });
-    }
-
-    /// Record newly readable stream messages, coalescing at the queue
-    /// tail like [`SessionEvents::push_delivered`].
-    fn push_readable(&self, messages: u64) {
-        let mut q = self.inner.borrow_mut();
-        if let Some(SessionEvent::Readable { messages: tail }) = q.back_mut() {
-            *tail += messages;
-            return;
-        }
-        q.push_back(SessionEvent::Readable { messages });
-    }
-
-    /// Record a capability rejection; consecutive identical errors (a
-    /// peer retransmitting one malformed SYN) collapse into one event.
-    fn push_rejected(&self, error: CapsError) {
-        let mut q = self.inner.borrow_mut();
-        if q.back() == Some(&SessionEvent::Rejected { error }) {
-            return;
-        }
-        q.push_back(SessionEvent::Rejected { error });
     }
 
     /// Pop the oldest pending event.
@@ -611,65 +575,33 @@ enum Role {
     Receiver(QtpReceiver),
 }
 
-impl Endpoint for Role {
-    fn on_start(&mut self, out: &mut Outbox) {
+impl Role {
+    fn endpoint(&mut self) -> &mut dyn Endpoint {
         match self {
-            Role::Sender(s) => s.on_start(out),
-            Role::Receiver(r) => r.on_start(out),
-        }
-    }
-
-    fn handle_datagram(&mut self, out: &mut Outbox, wire_size: u32, header: &[u8]) {
-        match self {
-            Role::Sender(s) => s.handle_datagram(out, wire_size, header),
-            Role::Receiver(r) => r.handle_datagram(out, wire_size, header),
-        }
-    }
-
-    fn on_timer(&mut self, out: &mut Outbox, token: u64) {
-        match self {
-            Role::Sender(s) => s.on_timer(out, token),
-            Role::Receiver(r) => r.on_timer(out, token),
+            Role::Sender(s) => s,
+            Role::Receiver(r) => r,
         }
     }
 }
 
-/// A sans-io QTP connection endpoint with a poll-style surface.
+/// A sans-io QTP connection endpoint.
 ///
-/// One `Session` wraps one side of a connection (sender or receiver). Two
-/// consumption styles exist, and every backend uses exactly one:
-///
-/// **Standalone (poll) style** — for hand-written event loops, quinn-proto
-/// fashion. The session owns its timer queue:
-///
-/// ```text
-/// session.start(now);
-/// loop {
-///     while let Some(t) = session.poll_transmit() { /* send t */ }
-///     while let Some(ev) = session.poll_event() { /* observe */ }
-///     // sleep until session.poll_timeout(), or a datagram arrives…
-///     session.on_timeout(now);
-///     session.handle_input(now, wire_size, &header);
-/// }
-/// ```
-///
-/// **Mounted style** — a `Session` implements [`Endpoint`], so the
-/// simulator ([`SimAgent`](crate::adapter::SimAgent)), `qtp_io::UdpDriver`
-/// and `qtp_io::MuxDriver` drive it like any endpoint. Commands pass
-/// through to the driver unchanged and in order (which is what keeps
-/// fixed-seed simulations byte-identical to the pre-session wiring); the
-/// driver owns the timers, and [`Session::poll_timeout`] stays empty.
-/// Events and accessors work identically in both styles.
+/// One `Session` wraps one side of a connection (sender or receiver) and
+/// is driven through the [`Endpoint`] seam: the simulator
+/// ([`SimAgent`], [`SimHost`]) and
+/// `qtp_io::MuxDriver` mount it like any endpoint, and a hand-written
+/// loop does the same — set `out.now`, call `on_start` /
+/// `handle_datagram` / `on_timer`, then drain the [`Outbox`]. Commands
+/// pass through to the driver unchanged and in order, which keeps
+/// fixed-seed simulations byte-identical to mounting the bare endpoint;
+/// the driver owns the timers. On top of the endpoint the session derives
+/// typed [`SessionEvent`]s ([`Session::events`]) and stream edges.
 pub struct Session {
     inner: Role,
     out: Outbox,
     started: bool,
     closed: bool,
     connected: bool,
-    // Standalone-style surfaces (unused while mounted in a driver).
-    transmits: VecDeque<Transmit>,
-    timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    timer_seq: u64,
     delivered_bytes: u64,
     abandoned_seen: u64,
     probe: Probe,
@@ -693,12 +625,10 @@ impl Session {
     pub fn sender(data_flow: FlowId, peer: NodeId, plan: &ConnectionPlan) -> Session {
         let probe = Probe::new();
         let sender = QtpSender::new(data_flow, peer, plan.sender_config(), probe.clone());
-        let send_shared = sender.stream_shared();
-        let tracer = sender.tracer();
-        let mut s = Session::wrap(Role::Sender(sender)).with_probe(probe);
-        s.send_shared = send_shared;
-        s.tracer = tracer;
-        s
+        Session {
+            send_shared: sender.stream_shared(),
+            ..Session::wrap(sender.tracer(), Role::Sender(sender), probe)
+        }
     }
 
     /// A receiving session: data arrives on `data_flow`, feedback leaves
@@ -717,12 +647,10 @@ impl Session {
             plan.receiver_config(),
             probe.clone(),
         );
-        let recv_shared = receiver.stream_shared();
-        let tracer = receiver.tracer();
-        let mut s = Session::wrap(Role::Receiver(receiver)).with_probe(probe);
-        s.recv_shared = recv_shared;
-        s.tracer = tracer;
-        s
+        Session {
+            recv_shared: receiver.stream_shared(),
+            ..Session::wrap(receiver.tracer(), Role::Receiver(receiver), probe)
+        }
     }
 
     /// The sending half of the stream data plane (plans built with
@@ -745,100 +673,22 @@ impl Session {
         }
     }
 
-    fn wrap(inner: Role) -> Session {
+    fn wrap(tracer: Tracer, inner: Role, probe: Probe) -> Session {
         Session {
             inner,
             out: Outbox::new(),
             started: false,
             closed: false,
             connected: false,
-            transmits: VecDeque::new(),
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
             delivered_bytes: 0,
             abandoned_seen: 0,
-            probe: Probe::new(),
+            probe,
             events: SessionEvents::default(),
             send_shared: None,
             recv_shared: None,
             finished_reported: false,
-            tracer: Tracer::new(0),
+            tracer,
         }
-    }
-
-    fn with_probe(mut self, probe: Probe) -> Session {
-        self.probe = probe;
-        self
-    }
-
-    // ---- poll-style driving -------------------------------------------
-
-    /// Start the session (idempotent): a sender emits its SYN.
-    pub fn start(&mut self, now: SimTime) {
-        if self.started || self.closed {
-            return;
-        }
-        self.started = true;
-        self.out.now = now;
-        self.inner.on_start(&mut self.out);
-        self.pump(None);
-    }
-
-    /// An incoming datagram: `wire_size` is the accounted on-wire size,
-    /// `header` the encoded transport header. Malformed capability offers
-    /// surface as [`SessionEvent::Rejected`]; all other undecodable input
-    /// is silently dropped (datagram networks promise nothing).
-    pub fn handle_input(&mut self, now: SimTime, wire_size: u32, header: &[u8]) {
-        // Close-handshake packets pass the gate: a closed receiver must
-        // keep acknowledging retransmitted FINs so the peer can finish.
-        if self.closed && !wire::is_close_handshake(header) {
-            return;
-        }
-        self.out.now = now;
-        self.detect_rejected(header);
-        self.inner.handle_datagram(&mut self.out, wire_size, header);
-        self.pump(None);
-    }
-
-    /// Fire every internally-armed timer due at `now`, in deadline order
-    /// (ties by arming order). Standalone style only — while mounted in a
-    /// driver the driver owns the timers.
-    pub fn on_timeout(&mut self, now: SimTime) {
-        while let Some(Reverse((at, _, _))) = self.timers.peek() {
-            if *at > now {
-                break;
-            }
-            let Reverse((_, _, token)) = self.timers.pop().expect("peeked entry");
-            self.handle_timer(now, token);
-        }
-    }
-
-    /// Deliver one raw timer token (drivers that schedule tokens natively;
-    /// [`Session::on_timeout`] is the cooked variant). Stale generations
-    /// are filtered by the endpoint itself.
-    pub fn handle_timer(&mut self, now: SimTime, token: u64) {
-        if self.closed {
-            return;
-        }
-        self.out.now = now;
-        self.inner.on_timer(&mut self.out, token);
-        self.pump(None);
-    }
-
-    /// Deadline of the earliest internally-armed timer, if any: sleep no
-    /// longer than this before calling [`Session::on_timeout`].
-    pub fn poll_timeout(&self) -> Option<SimTime> {
-        self.timers.peek().map(|Reverse((at, _, _))| *at)
-    }
-
-    /// Next datagram to put on the wire, in emission order.
-    pub fn poll_transmit(&mut self) -> Option<Transmit> {
-        self.transmits.pop_front()
-    }
-
-    /// Next pending session event.
-    pub fn poll_event(&mut self) -> Option<SessionEvent> {
-        self.events.poll()
     }
 
     /// Close the session. A running sender drains, runs the wire-level
@@ -865,8 +715,8 @@ impl Session {
 
     /// Close immediately and locally: no FIN goes out, further input and
     /// timers are ignored (except close-handshake packets, which still get
-    /// acknowledged so the peer can finish), queued transmits still drain,
-    /// and [`SessionEvent::Closed`] is emitted at once.
+    /// acknowledged so the peer can finish), and [`SessionEvent::Closed`]
+    /// is emitted at once.
     pub fn abort(&mut self) {
         if !self.closed {
             self.finish_close();
@@ -875,46 +725,37 @@ impl Session {
 
     fn finish_close(&mut self) {
         self.closed = true;
-        self.timers.clear();
         self.events.push(SessionEvent::Closed);
     }
 
-    // ---- shared internals ---------------------------------------------
-
-    fn detect_rejected(&mut self, header: &[u8]) {
+    fn detect_rejected(&mut self, now: SimTime, header: &[u8]) {
         if wire::carries_capabilities(header) {
             if let Err(WireError::BadCapability(error)) = QtpPacket::decode(header) {
-                self.events.push_rejected(error);
-                self.tracer
-                    .emit(self.out.now.as_nanos(), TraceEventKind::SoftError);
+                self.events.push(SessionEvent::Rejected { error });
+                self.tracer.emit(now.as_nanos(), TraceEventKind::SoftError);
             }
         }
     }
 
-    /// Drain the endpoint's commands. With `ext` (mounted style) they pass
-    /// through to the driver's outbox unchanged and in order; without it
-    /// (standalone style) they land in the session's own queues. Either
-    /// way, session events are derived as a side effect.
-    fn pump(&mut self, mut ext: Option<&mut Outbox>) {
+    /// Run one callback of the wrapped endpoint at the driver's time, then
+    /// [`pump`](Session::pump) its commands through.
+    fn forward(&mut self, out: &mut Outbox, f: impl FnOnce(&mut dyn Endpoint, &mut Outbox)) {
+        self.out.now = out.now;
+        f(self.inner.endpoint(), &mut self.out);
+        self.pump(out);
+    }
+
+    /// Pass the endpoint's commands through to the driver's outbox,
+    /// unchanged and in order, deriving session events on the way.
+    fn pump(&mut self, out: &mut Outbox) {
         while let Some(cmd) = self.out.poll_cmd() {
             match cmd {
-                Command::Transmit(t) => match ext.as_deref_mut() {
-                    Some(o) => o.send_new(t.flow, t.dst, t.wire_size, t.header),
-                    None => self.transmits.push_back(t),
-                },
-                Command::SetTimer { at, token } => match ext.as_deref_mut() {
-                    Some(o) => o.set_timer_at(at, token),
-                    None => {
-                        self.timer_seq += 1;
-                        self.timers.push(Reverse((at, self.timer_seq, token)));
-                    }
-                },
+                Command::Transmit(t) => out.send_new(t.flow, t.dst, t.wire_size, t.header),
+                Command::SetTimer { at, token } => out.set_timer_at(at, token),
                 Command::Deliver { flow, bytes } => {
                     self.delivered_bytes += bytes;
-                    self.events.push_delivered(bytes);
-                    if let Some(o) = ext.as_deref_mut() {
-                        o.app_deliver(flow, bytes);
-                    }
+                    self.events.push(SessionEvent::Delivered { bytes });
+                    out.app_deliver(flow, bytes);
                 }
             }
         }
@@ -926,8 +767,9 @@ impl Session {
         }
         let abandoned = self.probe.read(|d| d.tx_abandoned);
         if abandoned > self.abandoned_seen {
-            self.events
-                .push_ttl_expired(abandoned - self.abandoned_seen);
+            self.events.push(SessionEvent::TtlExpired {
+                packets: abandoned - self.abandoned_seen,
+            });
             self.abandoned_seen = abandoned;
         }
         // Stream data-plane edges.
@@ -943,7 +785,7 @@ impl Session {
             if n > 0 {
                 self.tracer
                     .emit(self.out.now.as_nanos(), TraceEventKind::StreamReadable);
-                self.events.push_readable(n);
+                self.events.push(SessionEvent::Readable { messages: n });
             }
         }
         if !self.finished_reported {
@@ -957,7 +799,7 @@ impl Session {
             }
         }
         // Graceful close: the sender reports completion of the FIN
-        // handshake; surface it as `Closed` and stop the timer surface.
+        // handshake; surface it as `Closed`.
         if !self.closed {
             if let Role::Sender(s) = &self.inner {
                 if s.close_complete() {
@@ -1047,37 +889,31 @@ impl Session {
     }
 }
 
-/// Mounted style: a `Session` is itself an [`Endpoint`], so every existing
-/// driver hosts it. Commands pass through in emission order — a
-/// `SimAgent<Session>` replays exactly like a `SimAgent<QtpSender>`.
+/// A `Session` is itself an [`Endpoint`], so every driver hosts it.
+/// Commands pass through in emission order — a `SimAgent<Session>` replays
+/// exactly like a `SimAgent<QtpSender>`. A closed session ignores timers
+/// and every datagram except close-handshake packets: a closed receiver
+/// must keep acknowledging retransmitted FINs so the peer can finish.
 impl Endpoint for Session {
     fn on_start(&mut self, out: &mut Outbox) {
-        if self.started || self.closed {
-            return;
+        if !self.started && !self.closed {
+            self.started = true;
+            self.forward(out, |ep, o| ep.on_start(o));
         }
-        self.started = true;
-        self.out.now = out.now;
-        self.inner.on_start(&mut self.out);
-        self.pump(Some(out));
     }
 
     fn handle_datagram(&mut self, out: &mut Outbox, wire_size: u32, header: &[u8]) {
         if self.closed && !wire::is_close_handshake(header) {
             return;
         }
-        self.out.now = out.now;
-        self.detect_rejected(header);
-        self.inner.handle_datagram(&mut self.out, wire_size, header);
-        self.pump(Some(out));
+        self.detect_rejected(out.now, header);
+        self.forward(out, |ep, o| ep.handle_datagram(o, wire_size, header));
     }
 
     fn on_timer(&mut self, out: &mut Outbox, token: u64) {
-        if self.closed {
-            return;
+        if !self.closed {
+            self.forward(out, |ep, o| ep.on_timer(o, token));
         }
-        self.out.now = out.now;
-        self.inner.on_timer(&mut self.out, token);
-        self.pump(Some(out));
     }
 }
 
@@ -1111,13 +947,29 @@ pub struct PairHandles {
     pub rx_tracer: Tracer,
 }
 
+impl PairHandles {
+    fn of(data_flow: FlowId, fb_flow: FlowId, tx: &Session, rx: &Session) -> PairHandles {
+        PairHandles {
+            data_flow,
+            fb_flow,
+            tx: tx.probe().clone(),
+            rx: rx.probe().clone(),
+            tx_events: tx.events(),
+            rx_events: rx.events(),
+            tx_stream: tx.send_stream(),
+            rx_stream: rx.recv_stream(),
+            tx_tracer: tx.tracer(),
+            rx_tracer: rx.tracer(),
+        }
+    }
+}
+
 /// Attach one planned connection to a simulated topology: a sending
 /// session at `sender_node`, a receiving session at `receiver_node`, two
 /// registered flows (`<name>` data, `<name>-fb` feedback).
 ///
-/// This is the session-layer successor of the deprecated
-/// `attach_qtp`: same wiring, byte-identical fixed-seed behaviour, plus
-/// typed events.
+/// Fixed-seed behaviour is pinned by the committed goldens and the claims
+/// ledger, which all wire their connections through here.
 pub fn attach_pair(
     sim: &mut Simulator,
     sender_node: NodeId,
@@ -1129,18 +981,7 @@ pub fn attach_pair(
     let fb_flow = sim.register_flow(&format!("{name}-fb"));
     let tx = Session::sender(data_flow, receiver_node, plan);
     let rx = Session::receiver(data_flow, fb_flow, sender_node, plan);
-    let handles = PairHandles {
-        data_flow,
-        fb_flow,
-        tx: tx.probe().clone(),
-        rx: rx.probe().clone(),
-        tx_events: tx.events(),
-        rx_events: rx.events(),
-        tx_stream: tx.send_stream(),
-        rx_stream: rx.recv_stream(),
-        tx_tracer: tx.tracer(),
-        rx_tracer: rx.tracer(),
-    };
+    let handles = PairHandles::of(data_flow, fb_flow, &tx, &rx);
     sim.attach_agent(sender_node, Box::new(SimAgent::new(tx)));
     sim.attach_agent(receiver_node, Box::new(SimAgent::new(rx)));
     handles
@@ -1166,18 +1007,7 @@ pub fn attach_pairs(
         let fb_flow = sim.register_flow(&format!("{name}-fb"));
         let tx = Session::sender(data_flow, *receiver_node, plan);
         let rx = Session::receiver(data_flow, fb_flow, *sender_node, plan);
-        out.push(PairHandles {
-            data_flow,
-            fb_flow,
-            tx: tx.probe().clone(),
-            rx: rx.probe().clone(),
-            tx_events: tx.events(),
-            rx_events: rx.events(),
-            tx_stream: tx.send_stream(),
-            rx_stream: rx.recv_stream(),
-            tx_tracer: tx.tracer(),
-            rx_tracer: rx.tracer(),
-        });
+        out.push(PairHandles::of(data_flow, fb_flow, &tx, &rx));
         hosts.entry(*sender_node).or_default().add(tx, [fb_flow]);
         hosts
             .entry(*receiver_node)
@@ -1224,7 +1054,7 @@ pub struct ConnectionOutcome {
 /// The run-a-scenario seam: every backend takes the same
 /// [`ConnectionPlan`]s and reports per-connection [`ConnectionOutcome`]s,
 /// in plan order. Implementations: [`SimBackend`] (simulator),
-/// `qtp_io::backend::UdpBackend` (one blocking socket pair per
+/// `qtp_io::backend::UdpBackend` (one socket pair per
 /// connection) and `qtp_io::backend::MuxBackend` (all connections
 /// multiplexed over one socket pair).
 pub trait Backend {
@@ -1497,6 +1327,8 @@ pub fn connected_caps(events: &SessionEvents) -> Option<CapabilitySet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn builder_validates_and_roundtrips() {
@@ -1545,50 +1377,95 @@ mod tests {
         );
     }
 
-    /// Drive a sender/receiver session pair purely through the poll-style
-    /// surface with a virtual clock and a loss-free in-memory "wire" — no
-    /// simulator, no sockets. This is the contract a hand-written event
-    /// loop programs against.
+    /// Two sessions wired back to back through the [`Endpoint`] seam, the
+    /// way every driver mounts them: a loss-free, zero-delay in-memory
+    /// wire, a virtual clock, and one fire-and-forget timer heap (equal
+    /// deadlines fire in arming order).
+    struct Shuttle {
+        tx: Session,
+        rx: Session,
+        now: SimTime,
+        /// In-flight datagrams: (bound for the sender?, wire size, header).
+        wire: VecDeque<(bool, u32, Vec<u8>)>,
+        /// Armed timers: (deadline, arming order, the sender's?, token).
+        timers: BinaryHeap<Reverse<(SimTime, u64, bool, u64)>>,
+        armed: u64,
+    }
+
+    impl Shuttle {
+        /// Build both sides of `plan` and start them.
+        fn new(plan: &ConnectionPlan) -> Shuttle {
+            let mut sh = Shuttle {
+                tx: Session::sender(0, 1, plan),
+                rx: Session::receiver(0, 1, 0, plan),
+                now: SimTime::ZERO,
+                wire: VecDeque::new(),
+                timers: BinaryHeap::new(),
+                armed: 0,
+            };
+            sh.call(true, |s, o| s.on_start(o));
+            sh.call(false, |s, o| s.on_start(o));
+            sh
+        }
+
+        /// Run one callback on one side and apply its commands; returns how
+        /// many it emitted.
+        fn call(&mut self, on_tx: bool, f: impl FnOnce(&mut Session, &mut Outbox)) -> usize {
+            let mut out = Outbox::new();
+            out.now = self.now;
+            f(if on_tx { &mut self.tx } else { &mut self.rx }, &mut out);
+            let mut emitted = 0;
+            while let Some(cmd) = out.poll_cmd() {
+                emitted += 1;
+                match cmd {
+                    Command::Transmit(t) => self.wire.push_back((!on_tx, t.wire_size, t.header)),
+                    Command::SetTimer { at, token } => {
+                        self.armed += 1;
+                        self.timers.push(Reverse((at, self.armed, on_tx, token)));
+                    }
+                    Command::Deliver { .. } => {}
+                }
+            }
+            emitted
+        }
+
+        /// Deliver datagrams until the wire is quiet, check `done`, then
+        /// advance the clock to the next timer and fire it — until `done`
+        /// holds (`true`) or no timer is left or a step budget runs out
+        /// (`false`).
+        fn run_until(&mut self, mut done: impl FnMut(&mut Session, &mut Session) -> bool) -> bool {
+            for _ in 0..1_000_000 {
+                while let Some((to_tx, size, header)) = self.wire.pop_front() {
+                    self.call(to_tx, |s, o| s.handle_datagram(o, size, &header));
+                }
+                if done(&mut self.tx, &mut self.rx) {
+                    return true;
+                }
+                let Some(Reverse((at, _, on_tx, token))) = self.timers.pop() else {
+                    return false;
+                };
+                self.now = self.now.max(at);
+                self.call(on_tx, |s, o| s.on_timer(o, token));
+            }
+            false
+        }
+    }
+
+    fn drain(out: &mut Outbox) -> Vec<Command> {
+        std::iter::from_fn(|| out.poll_cmd()).collect()
+    }
+
+    /// Drive a sender/receiver session pair purely through the endpoint
+    /// seam with a virtual clock and an in-memory "wire" — no simulator, no
+    /// sockets. This is the contract a hand-written event loop programs
+    /// against.
     #[test]
     fn poll_surface_completes_a_reliable_transfer() {
         const PACKETS: u64 = 20;
         let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_kbps(500))).finite(PACKETS);
-        let mut tx = Session::sender(0, 1, &plan);
-        let mut rx = Session::receiver(0, 1, 0, &plan);
-
-        let mut now = SimTime::ZERO;
-        tx.start(now);
-        rx.start(now);
-        for _ in 0..100_000 {
-            // Shuttle datagrams until the wire is quiet.
-            loop {
-                let mut moved = false;
-                while let Some(t) = tx.poll_transmit() {
-                    rx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                while let Some(t) = rx.poll_transmit() {
-                    tx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                if !moved {
-                    break;
-                }
-            }
-            if rx.delivered_packets() >= PACKETS && tx.all_acked() {
-                break;
-            }
-            // Advance the virtual clock to the earliest armed deadline.
-            let next = match (tx.poll_timeout(), rx.poll_timeout()) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => panic!("deadlock: no timers and not done"),
-            };
-            now = now.max(next);
-            tx.on_timeout(now);
-            rx.on_timeout(now);
-        }
+        let mut sh = Shuttle::new(&plan);
+        assert!(sh.run_until(|tx, rx| rx.delivered_packets() >= PACKETS && tx.all_acked()));
+        let (tx, rx) = (&sh.tx, &sh.rx);
         assert_eq!(rx.delivered_packets(), PACKETS);
         assert!(tx.all_acked());
         assert_eq!(rx.delivered_bytes(), PACKETS * 1000);
@@ -1597,7 +1474,7 @@ mod tests {
         let expected = ServerPolicy::default().negotiate(plan.profile.caps());
         assert_eq!(tx.negotiated(), Some(expected));
         assert!(matches!(
-            tx.poll_event(),
+            tx.events().poll(),
             Some(SessionEvent::Connected { negotiated }) if negotiated == expected
         ));
         let rx_events = rx.events().drain();
@@ -1617,8 +1494,8 @@ mod tests {
         assert_eq!(delivered.len(), 1, "adjacent deliveries coalesce");
     }
 
-    /// End-to-end stream data plane over the poll surface: a file goes in
-    /// through `SendStream::send`, comes out byte-exact through
+    /// End-to-end stream data plane through the endpoint seam: a file goes
+    /// in through `SendStream::send`, comes out byte-exact through
     /// `RecvStream::recv`, and the wire-level FIN / FIN-ACK close completes
     /// with both sides' typed events observed.
     #[test]
@@ -1629,19 +1506,15 @@ mod tests {
             .collect();
         let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(50)))
             .stream(StreamConfig::with_send_buf(16 * 1024));
-        let mut tx = Session::sender(0, 1, &plan);
-        let mut rx = Session::receiver(0, 1, 0, &plan);
-        let send = tx.send_stream().expect("sender side has a SendStream");
-        let recv = rx.recv_stream().expect("receiver side has a RecvStream");
-        assert!(tx.recv_stream().is_none() && rx.send_stream().is_none());
+        let mut sh = Shuttle::new(&plan);
+        let send = sh.tx.send_stream().expect("sender side has a SendStream");
+        let recv = sh.rx.recv_stream().expect("receiver side has a RecvStream");
+        assert!(sh.tx.recv_stream().is_none() && sh.rx.send_stream().is_none());
 
-        let mut now = SimTime::ZERO;
-        tx.start(now);
-        rx.start(now);
         let mut offset = 0usize;
         let mut received = Vec::new();
         let mut saw_full = false;
-        for _ in 0..1_000_000 {
+        let done = sh.run_until(|tx, _| {
             while offset < file.len() {
                 let end = (offset + 1900).min(file.len());
                 match send.send(&file[offset..end]) {
@@ -1656,44 +1529,28 @@ mod tests {
             if offset == file.len() && !send.is_finished() {
                 send.finish();
             }
-            loop {
-                let mut moved = false;
-                while let Some(t) = tx.poll_transmit() {
-                    rx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                while let Some(t) = rx.poll_transmit() {
-                    tx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                if !moved {
-                    break;
-                }
-            }
             while let Some(m) = recv.recv() {
                 received.extend(m);
             }
-            if recv.is_finished() && tx.is_closed() {
-                break;
-            }
-            let next = match (tx.poll_timeout(), rx.poll_timeout()) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => panic!("deadlock: no timers and not done"),
-            };
-            now = now.max(next);
-            tx.on_timeout(now);
-            rx.on_timeout(now);
-        }
+            recv.is_finished() && tx.is_closed()
+        });
+        assert!(done, "transfer and close completed");
         assert_eq!(received.len(), file.len());
         assert_eq!(received, file, "byte-exact stream transfer");
         assert!(saw_full, "bounded send buffer exerted backpressure");
         assert!(recv.is_finished());
-        assert!(tx.is_closed(), "FIN / FIN-ACK handshake completed");
-        assert_eq!(tx.poll_timeout(), None, "sender timers drained after close");
+        assert!(sh.tx.is_closed(), "FIN / FIN-ACK handshake completed");
+        // A closed sender is inert: every timer it still has armed fires
+        // into nothing.
+        let tx_timers: Vec<u64> = std::mem::take(&mut sh.timers)
+            .into_iter()
+            .filter_map(|Reverse((_, _, on_tx, token))| on_tx.then_some(token))
+            .collect();
+        for token in tx_timers {
+            assert_eq!(sh.call(true, |s, o| s.on_timer(o, token)), 0);
+        }
 
-        let tx_events = tx.events().drain();
+        let tx_events = sh.tx.events().drain();
         assert!(tx_events
             .iter()
             .any(|e| matches!(e, SessionEvent::Writable)));
@@ -1701,7 +1558,7 @@ mod tests {
             tx_events.iter().any(|e| matches!(e, SessionEvent::Closed)),
             "graceful close surfaced as Closed"
         );
-        let rx_events = rx.events().drain();
+        let rx_events = sh.rx.events().drain();
         let readable: u64 = rx_events
             .iter()
             .filter_map(|e| match e {
@@ -1722,87 +1579,69 @@ mod tests {
     fn graceful_close_waits_for_finack() {
         let plan = ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(10)))
             .stream(StreamConfig::default());
-        let mut tx = Session::sender(0, 1, &plan);
-        let mut rx = Session::receiver(0, 1, 0, &plan);
-        let send = tx.send_stream().unwrap();
+        let mut sh = Shuttle::new(&plan);
+        let send = sh.tx.send_stream().unwrap();
         send.send(b"payload").unwrap();
 
-        let mut now = SimTime::ZERO;
-        tx.start(now);
-        rx.start(now);
-        for _ in 0..10_000 {
-            loop {
-                let mut moved = false;
-                while let Some(t) = tx.poll_transmit() {
-                    rx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                while let Some(t) = rx.poll_transmit() {
-                    tx.handle_input(now, t.wire_size, &t.header);
-                    moved = true;
-                }
-                if !moved {
-                    break;
-                }
-            }
+        let closed = sh.run_until(|tx, _| {
             if tx.negotiated().is_some() && !tx.is_closed() && !send.is_finished() {
                 tx.close();
                 assert!(!tx.is_closed(), "graceful close defers Closed to FIN-ACK");
             }
-            if tx.is_closed() {
-                break;
-            }
-            let next = match (tx.poll_timeout(), rx.poll_timeout()) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => panic!("no timers while close pending"),
-            };
-            now = now.max(next);
-            tx.on_timeout(now);
-            rx.on_timeout(now);
-        }
-        assert!(tx.is_closed());
-        assert!(tx
+            tx.is_closed()
+        });
+        assert!(closed);
+        assert!(sh
+            .tx
             .events()
             .drain()
             .iter()
             .any(|e| matches!(e, SessionEvent::Closed)));
-        assert!(rx
+        assert!(sh
+            .rx
             .events()
             .drain()
             .iter()
             .any(|e| matches!(e, SessionEvent::Finished)));
     }
 
-    #[test]
-    fn malformed_capability_offer_surfaces_as_rejected() {
-        let plan = ConnectionPlan::new(Profile::tfrc());
-        let mut rx = Session::receiver(0, 1, 0, &plan);
-        rx.start(SimTime::ZERO);
-
-        // A SYN whose reliability wire code (first capability byte after
-        // the type + timestamp) is garbage.
+    /// Offer a fresh receiver a SYN with the wire byte at `at` replaced by
+    /// `code`; returns the receiver, its outbox and whether it sent anything.
+    fn corrupted_offer(at: usize, code: u8) -> (Session, Outbox, bool) {
+        let mut rx = Session::receiver(0, 1, 0, &ConnectionPlan::new(Profile::tfrc()));
+        let mut out = Outbox::new();
+        rx.on_start(&mut out);
         let mut syn = QtpPacket::Syn {
             ts_nanos: 7,
             offered: CapabilitySet::qtp_light(),
         }
         .encode();
-        syn[9] = 0xEE;
-        rx.handle_input(SimTime::ZERO, 64, &syn);
+        syn[at] = code;
+        rx.handle_datagram(&mut out, 64, &syn);
+        let sent = drain(&mut out)
+            .iter()
+            .any(|c| matches!(c, Command::Transmit(_)));
+        (rx, out, sent)
+    }
+
+    #[test]
+    fn malformed_capability_offer_surfaces_as_rejected() {
+        // The reliability wire code is the first capability byte, after
+        // the type + timestamp.
+        let (mut rx, mut out, sent) = corrupted_offer(9, 0xEE);
         assert_eq!(
-            rx.poll_event(),
+            rx.events().poll(),
             Some(SessionEvent::Rejected {
                 error: CapsError::BadReliability(0xEE)
             })
         );
         // Nothing was negotiated and no SYNACK went out.
         assert_eq!(rx.negotiated(), None);
-        assert!(rx.poll_transmit().is_none());
+        assert!(!sent);
 
         // Garbage that is not a capability problem stays silent.
-        rx.handle_input(SimTime::ZERO, 64, &[0xFF, 1, 2, 3]);
-        assert_eq!(rx.poll_event(), None);
+        rx.handle_datagram(&mut out, 64, &[0xFF, 1, 2, 3]);
+        assert_eq!(rx.events().poll(), None);
     }
 
     /// A peer offering a congestion-control code from a future protocol
@@ -1810,46 +1649,50 @@ mod tests {
     /// not panicked on and not silently granted a different controller.
     #[test]
     fn unknown_cc_offer_surfaces_as_rejected() {
-        let plan = ConnectionPlan::new(Profile::tfrc());
-        let mut rx = Session::receiver(0, 1, 0, &plan);
-        rx.start(SimTime::ZERO);
-
-        let mut syn = QtpPacket::Syn {
-            ts_nanos: 7,
-            offered: CapabilitySet::qtp_light(),
-        }
-        .encode();
         // type(1) + ts(8) + rel code(1) + rel param(8) + fb(1) = offset of
         // the cc wire code.
-        syn[19] = 0x2A;
-        rx.handle_input(SimTime::ZERO, 64, &syn);
+        let (rx, _, sent) = corrupted_offer(19, 0x2A);
         assert_eq!(
-            rx.poll_event(),
+            rx.events().poll(),
             Some(SessionEvent::Rejected {
                 error: CapsError::BadCc(0x2A)
             })
         );
         assert_eq!(rx.negotiated(), None);
-        assert!(rx.poll_transmit().is_none(), "no SYNACK for a bad offer");
+        assert!(!sent, "no SYNACK for a bad offer");
     }
 
     #[test]
     fn close_emits_closed_and_ignores_further_input() {
         let plan = ConnectionPlan::new(Profile::qtp_light());
         let mut tx = Session::sender(0, 1, &plan);
-        tx.start(SimTime::ZERO);
-        assert!(tx.poll_transmit().is_some(), "SYN emitted on start");
+        let mut out = Outbox::new();
+        tx.on_start(&mut out);
+        let started = drain(&mut out);
+        assert!(
+            matches!(started.first(), Some(Command::Transmit(_))),
+            "SYN emitted on start"
+        );
+        let syn_timer = started
+            .iter()
+            .find_map(|c| match c {
+                Command::SetTimer { token, .. } => Some(*token),
+                _ => None,
+            })
+            .expect("SYN retransmit timer armed on start");
         tx.close();
-        assert!(matches!(tx.poll_event(), Some(SessionEvent::Closed)));
+        assert!(matches!(tx.events().poll(), Some(SessionEvent::Closed)));
         assert!(tx.is_closed());
         let syn_ack = QtpPacket::SynAck {
             ts_echo_nanos: 0,
             chosen: CapabilitySet::qtp_light(),
         }
         .encode();
-        tx.handle_input(SimTime::from_millis(1), 64, &syn_ack);
+        out.now = SimTime::from_millis(1);
+        tx.handle_datagram(&mut out, 64, &syn_ack);
         assert_eq!(tx.negotiated(), None, "input after close is ignored");
-        assert_eq!(tx.poll_timeout(), None, "timers cleared on close");
+        tx.on_timer(&mut out, syn_timer);
+        assert!(out.is_empty(), "no command after close");
     }
 
     #[test]

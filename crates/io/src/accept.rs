@@ -1,8 +1,9 @@
 //! Plan-driven session accept for the mux: surface incoming connections
 //! as events instead of pre-registering them.
 //!
-//! [`MuxBackend`](crate::MuxBackend) knows its plan list up front, so its
-//! acceptor indexes plans by flow id. A real server doesn't — a chat
+//! The backends ([`UdpBackend`](crate::UdpBackend),
+//! [`MuxBackend`](crate::MuxBackend)) know their plan list up front, so
+//! their acceptor indexes plans by flow id. A real server doesn't — a chat
 //! responder, a file sink — it has one *policy* (profile, reliability,
 //! stream config) and wants a session materialised whenever a new peer
 //! shows up. [`accept_sessions`] installs exactly that: every capability
@@ -22,6 +23,7 @@ use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::rc::Rc;
 
+use crate::frame::Frame;
 use crate::mux::{Accepted, MuxDriver};
 
 /// One accepted connection, announced when its first frame arrived.
@@ -63,6 +65,20 @@ impl AcceptQueue {
     }
 }
 
+/// The QTP flow-pair accept rule every session acceptor shares: a
+/// capability offer on an even (data) flow `2k` becomes a receiver
+/// [`Session`] for `plan`, routed on `2k` and its feedback flow `2k + 1`.
+/// Anything else is declined.
+pub(crate) fn accept_offer(frame: &Frame, plan: &ConnectionPlan) -> Option<Accepted<Session>> {
+    if frame.flow % 2 != 0 || !wire::carries_capabilities(&frame.header) {
+        return None;
+    }
+    Some(Accepted {
+        endpoint: Session::receiver(frame.flow, frame.flow + 1, 0, plan),
+        flows: vec![frame.flow, frame.flow + 1],
+    })
+}
+
 /// Install a plan-template acceptor on a server mux: every capability
 /// offer from an unknown `(peer, even flow)` becomes a receiver
 /// [`Session`] built from `template`, and an [`AcceptEvent`] is pushed on
@@ -76,18 +92,12 @@ pub fn accept_sessions(server: &mut MuxDriver<Session>, template: ConnectionPlan
     let queue = AcceptQueue::default();
     let q = queue.clone();
     server.set_acceptor(move |peer, frame| {
-        if frame.flow % 2 != 0 || !wire::carries_capabilities(&frame.header) {
-            return None;
-        }
-        let session = Session::receiver(frame.flow, frame.flow + 1, 0, &template);
+        let accepted = accept_offer(frame, &template)?;
         q.inner.borrow_mut().push_back(AcceptEvent {
             peer,
             data_flow: frame.flow,
         });
-        Some(Accepted {
-            endpoint: session,
-            flows: vec![frame.flow, frame.flow + 1],
-        })
+        Some(accepted)
     });
     queue
 }

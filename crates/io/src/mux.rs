@@ -1,10 +1,10 @@
 //! Connection multiplexing: one UDP socket, many QTP flows.
 //!
-//! [`UdpDriver`](crate::UdpDriver) binds one socket per endpoint — fine for
-//! a demo, hopeless for a server. [`MuxDriver`] is the scaling seam the
-//! ROADMAP calls for: it owns **one** `std::net::UdpSocket` and routes
-//! datagrams among N concurrent [`Endpoint`] instances keyed by
-//! `(peer_addr, flow_id)`, QUIC-style:
+//! [`MuxDriver`] is the crate's one real-socket event loop: it owns **one**
+//! `std::net::UdpSocket` and routes datagrams among N concurrent
+//! [`Endpoint`] instances keyed by `(peer_addr, flow_id)`, QUIC-style. A
+//! single connection is just the N = 1 case (that is how
+//! [`UdpBackend`](crate::UdpBackend) runs each of its socket pairs):
 //!
 //! ```text
 //! loop {                                  // MuxDriver::drive_once
@@ -425,7 +425,10 @@ impl<E: Endpoint> MuxDriver<E> {
 
     /// Install the accept-on-first-frame callback: consulted whenever a
     /// decodable frame arrives from an unknown `(peer, flow)`. Returning
-    /// `None` drops the datagram (counted as unroutable).
+    /// `None` drops the datagram (counted as unroutable). An acceptor that
+    /// admits any peer lets any local process spend connection slots; the
+    /// backends' and [`accept_sessions`](crate::accept_sessions)'s
+    /// acceptors admit capability offers only.
     pub fn set_acceptor(
         &mut self,
         acceptor: impl FnMut(SocketAddr, &Frame) -> Option<Accepted<E>> + 'static,
@@ -842,9 +845,16 @@ impl<E: Endpoint> MuxDriver<E> {
     }
 }
 
+/// Annotate a socket error with which mux of a pair raised it, keeping the
+/// original [`io::ErrorKind`] so callers can still match on it.
+pub(crate) fn annotate_side(side: &str, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{side}: {e}"))
+}
+
 /// Drive the two muxes of a test/example rig in one thread, alternating
 /// short [`MuxDriver::drive_once`] slices until `done` or `deadline`.
-/// Socket errors surface immediately, annotated by side (argument order).
+/// Socket errors are never swallowed: a hard failure on either side aborts
+/// the loop at once, annotated `"a side"` / `"b side"` (argument order).
 pub fn drive_mux_pair<A: Endpoint, B: Endpoint>(
     a: &mut MuxDriver<A>,
     b: &mut MuxDriver<B>,
@@ -855,9 +865,9 @@ pub fn drive_mux_pair<A: Endpoint, B: Endpoint>(
     let start = std::time::Instant::now();
     loop {
         a.drive_once(SLICE)
-            .map_err(|e| crate::driver::annotate_side("a side", e))?;
+            .map_err(|e| annotate_side("a side", e))?;
         b.drive_once(SLICE)
-            .map_err(|e| crate::driver::annotate_side("b side", e))?;
+            .map_err(|e| annotate_side("b side", e))?;
         if done(a, b) {
             return Ok(true);
         }
@@ -973,6 +983,16 @@ mod tests {
         payload: Vec<u8>,
         reply: Option<Vec<u8>>,
     }
+    impl Pinger {
+        /// A pinger with an empty payload (route and lifecycle tests).
+        fn empty(flow: FlowId) -> Self {
+            Pinger {
+                flow,
+                payload: Vec::new(),
+                reply: None,
+            }
+        }
+    }
     impl Endpoint for Pinger {
         fn on_start(&mut self, out: &mut Outbox) {
             out.send_new(self.flow, 0, 64, self.payload.clone());
@@ -1035,43 +1055,78 @@ mod tests {
     }
 
     #[test]
+    fn drive_mux_pair_surfaces_socket_errors_with_side_attribution() {
+        // An endpoint whose first transmit (from a timer, so inside the
+        // loop rather than in add_connection) cannot be framed: the send
+        // path fails with InvalidData, and drive_mux_pair must abort with
+        // that error, annotated by side, instead of spinning to the
+        // deadline.
+        struct Unframable;
+        impl Endpoint for Unframable {
+            fn on_start(&mut self, out: &mut Outbox) {
+                out.set_timer_at(out.now, 1);
+            }
+            fn on_timer(&mut self, out: &mut Outbox, _token: u64) {
+                out.send_new(0, 0, 64, vec![0; MAX_FRAME_LEN]);
+            }
+        }
+        let mut server: MuxDriver<Echo> = MuxDriver::bind("127.0.0.1:0").unwrap();
+        let mut client: MuxDriver<Unframable> = MuxDriver::bind("127.0.0.1:0").unwrap();
+        client
+            .add_connection(server.local_addr().unwrap(), vec![0], Unframable)
+            .unwrap();
+        let err = drive_mux_pair(&mut client, &mut server, Duration::from_secs(5), |_, _| {
+            false
+        })
+        .expect_err("unframable transmit must surface as an error");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("a side"),
+            "error names the failing side: {err}"
+        );
+    }
+
+    #[test]
+    fn timers_fire_in_deadline_order() {
+        struct TimerBox(Vec<u64>);
+        impl Endpoint for TimerBox {
+            fn on_start(&mut self, out: &mut Outbox) {
+                // Armed out of order on purpose.
+                for (ms, token) in [(30, 3), (10, 1), (20, 2)] {
+                    out.set_timer_at(out.now + Duration::from_millis(ms), token);
+                }
+            }
+            fn on_timer(&mut self, _out: &mut Outbox, token: u64) {
+                self.0.push(token);
+            }
+        }
+        let mut mux: MuxDriver<TimerBox> = MuxDriver::bind("127.0.0.1:0").unwrap();
+        let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let id = mux
+            .add_connection(peer, vec![1], TimerBox(Vec::new()))
+            .unwrap();
+        let t0 = std::time::Instant::now();
+        while mux.endpoint(id).unwrap().0.len() < 3 && t0.elapsed() < Duration::from_secs(5) {
+            mux.drive_once(Duration::from_millis(5)).unwrap();
+        }
+        assert_eq!(mux.endpoint(id).unwrap().0, vec![1, 2, 3]);
+        assert_eq!(mux.stats().timers_fired, 3);
+    }
+
+    #[test]
     fn duplicate_routes_are_rejected() {
         let mut mux: MuxDriver<Pinger> = MuxDriver::bind("127.0.0.1:0").unwrap();
         let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
-        mux.add_connection(
-            peer,
-            vec![1, 2],
-            Pinger {
-                flow: 1,
-                payload: vec![],
-                reply: None,
-            },
-        )
-        .unwrap();
+        mux.add_connection(peer, vec![1, 2], Pinger::empty(1))
+            .unwrap();
         let err = mux
-            .add_connection(
-                peer,
-                vec![2],
-                Pinger {
-                    flow: 2,
-                    payload: vec![],
-                    reply: None,
-                },
-            )
+            .add_connection(peer, vec![2], Pinger::empty(2))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
         // Same flow to a *different* peer is a different route.
         let other: SocketAddr = "127.0.0.1:10".parse().unwrap();
-        mux.add_connection(
-            other,
-            vec![2],
-            Pinger {
-                flow: 2,
-                payload: vec![],
-                reply: None,
-            },
-        )
-        .unwrap();
+        mux.add_connection(other, vec![2], Pinger::empty(2))
+            .unwrap();
         assert_eq!(mux.conn_count(), 2);
     }
 
@@ -1112,30 +1167,10 @@ mod tests {
     fn reaper_removes_only_idle_connections() {
         let mut mux: MuxDriver<Pinger> = MuxDriver::bind("127.0.0.1:0").unwrap();
         let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
-        let a = mux
-            .add_connection(
-                peer,
-                vec![1],
-                Pinger {
-                    flow: 1,
-                    payload: vec![],
-                    reply: None,
-                },
-            )
-            .unwrap();
+        let a = mux.add_connection(peer, vec![1], Pinger::empty(1)).unwrap();
         std::thread::sleep(Duration::from_millis(30));
         // Fresh activity on a second connection.
-        let b = mux
-            .add_connection(
-                peer,
-                vec![2],
-                Pinger {
-                    flow: 2,
-                    payload: vec![],
-                    reply: None,
-                },
-            )
-            .unwrap();
+        let b = mux.add_connection(peer, vec![2], Pinger::empty(2)).unwrap();
         let reaped = mux.reap_stale(Duration::from_millis(25));
         assert_eq!(
             reaped.iter().map(|(id, _)| *id).collect::<Vec<_>>(),

@@ -1,6 +1,6 @@
 //! The acceptance test for the backend seam: the *same*
 //! [`ConnectionPlan`]s run unchanged on all three backends — the
-//! deterministic simulator, one blocking UDP socket pair per connection,
+//! deterministic simulator, one UDP socket pair per connection,
 //! and the single-socket connection multiplexer — and every backend
 //! negotiates the identical service and honours the same completion
 //! semantics.

@@ -118,8 +118,7 @@ fn one_socket_carries_64_reliable_flows() {
     assert_eq!(server.conn_count(), 0);
 }
 
-/// The mux and the single-connection UdpDriver speak the same wire
-/// protocol: a mux-accepted receiver serves a mux client with one flow,
+/// A mux-accepted receiver serves a mux client with one flow,
 /// negotiating exactly what the pure policy dictates even when a second,
 /// unrelated peer's garbage datagrams hit the same socket mid-handshake.
 #[test]

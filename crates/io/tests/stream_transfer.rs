@@ -1,9 +1,8 @@
 //! Stream data plane over real sockets: a 1 MiB file goes through
 //! `SendStream::send` on one side of a loopback socket (pair) and comes
 //! out byte-exact through `RecvStream::recv` on the other, and the
-//! wire-level FIN / FIN-ACK close completes — on the one-socket-per-end
-//! [`UdpDriver`] and on the multiplexed [`MuxDriver`] with plan-driven
-//! accept ([`accept_sessions`]).
+//! wire-level FIN / FIN-ACK close completes — on the [`MuxDriver`] with
+//! plan-driven accept ([`accept_sessions`]).
 //!
 //! The mux test also pins the timer no-leak property: a session that
 //! completed its wire close and is then dropped from the mux leaves no
@@ -11,9 +10,9 @@
 
 use qtp_core::session::{ConnectionPlan, Profile, Session};
 use qtp_core::stream::{RecvStream, SendStream, StreamConfig, StreamError};
-use qtp_io::{accept_sessions, drive_mux_pair, MuxDriver, UdpDriver};
+use qtp_io::{accept_sessions, drive_mux_pair, MuxDriver};
 use qtp_simnet::time::Rate;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const FILE_LEN: usize = 1024 * 1024;
 const SLICE: Duration = Duration::from_micros(300);
@@ -52,39 +51,6 @@ fn drain(recv: &RecvStream, into: &mut Vec<u8>) {
     while let Some(m) = recv.recv() {
         into.extend(m);
     }
-}
-
-#[test]
-fn udp_stream_transfer_is_byte_exact_and_closes() {
-    let file = test_file();
-    let plan = stream_plan();
-
-    let rx_sess = Session::receiver(0, 1, 0, &plan);
-    let recv = rx_sess.recv_stream().expect("receiver stream");
-    let mut rx = UdpDriver::server(rx_sess, "127.0.0.1:0").unwrap();
-    let peer = rx.local_addr().unwrap();
-
-    let tx_sess = Session::sender(0, 1, &plan);
-    let send = tx_sess.send_stream().expect("sender stream");
-    let mut tx = UdpDriver::client(tx_sess, "127.0.0.1:0", peer).unwrap();
-
-    let start = Instant::now();
-    let mut offset = 0usize;
-    let mut received = Vec::with_capacity(file.len());
-    while start.elapsed() < DEADLINE {
-        feed(&send, &file, &mut offset);
-        tx.drive_once(SLICE).unwrap();
-        rx.drive_once(SLICE).unwrap();
-        drain(&recv, &mut received);
-        if recv.is_finished() && tx.endpoint().is_closed() {
-            break;
-        }
-    }
-
-    assert_eq!(received.len(), file.len(), "all bytes arrived");
-    assert_eq!(received, file, "byte-exact over UDP loopback");
-    assert!(recv.is_finished(), "receiver saw the FIN");
-    assert!(tx.endpoint().is_closed(), "FIN / FIN-ACK completed");
 }
 
 #[test]

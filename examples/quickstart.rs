@@ -28,7 +28,7 @@ fn main() -> std::io::Result<()> {
     let mut sim = SimBackend::isolated(Rate::from_mbps(10), Duration::from_millis(20), 0.01);
     let sim_outcomes = run_and_report(&mut sim, &plans)?;
 
-    // Backend 2: real UDP sockets on loopback, blocking event loop.
+    // Backend 2: real UDP sockets on loopback, one socket pair per connection.
     println!();
     let mut udp = UdpBackend::default();
     let udp_outcomes = run_and_report(&mut udp, &plans)?;

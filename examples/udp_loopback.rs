@@ -3,7 +3,7 @@
 //! The same `ConnectionPlan` the simulator experiments use here
 //! negotiates a capability profile and completes a fully reliable
 //! transfer between two `std::net::UdpSocket`s on 127.0.0.1, driven by
-//! `qtp-io`'s blocking event loop behind the `UdpBackend` seam — through
+//! `qtp-io`'s mux event loop behind the `UdpBackend` seam — through
 //! the same shared helper (`qtp::app::run_and_report`) as the quickstart
 //! and many-flows examples:
 //!

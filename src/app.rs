@@ -3,9 +3,9 @@
 //!
 //! This is the "one program, every I/O strategy" helper the examples
 //! share: `quickstart` runs it on the simulator *and* on real sockets,
-//! `udp_loopback` on the blocking UDP driver, `many_flows` on the
-//! connection multiplexer and on a simulated dumbbell — all with exactly
-//! the same call.
+//! `udp_loopback` on one socket pair per connection, `many_flows` on one
+//! socket pair for every connection and on a simulated dumbbell — all
+//! with exactly the same call.
 
 use crate::prelude::*;
 use std::io;
