@@ -54,13 +54,7 @@ pub fn e11() -> Table {
             sim.run_until(SimTime::from_secs(SECS));
             let rate = goodput(&sim, h.data_flow, SECS);
             // Mean of the p values the rate computation actually used.
-            let p_trace = h.tx.read(|d| d.p_trace.clone());
-            let p_mean = if p_trace.is_empty() {
-                0.0
-            } else {
-                p_trace.iter().map(|(_, p)| *p).sum::<f64>() / p_trace.len() as f64
-            };
-            (rate, p_mean)
+            (rate, h.tx.counters().mean_p())
         };
         let (rate_g, p_g) = run(false);
         let (rate_u, p_u) = run(true);
@@ -171,7 +165,7 @@ pub fn e12() -> Table {
         sim.run_until(SimTime::from_secs(SECS));
         let achieved = throughput(&sim, h.data_flow, SECS) / g.bps() as f64;
         let loss_rate = sim.stats().flow(h.data_flow).loss_rate();
-        let retx = h.tx.read(|d| d.tx_retransmissions);
+        let retx = h.tx.counters().retransmits;
         let (green_drops, _, _) = sim.stats().link_drops_by_color(net.bottleneck);
         let holds = achieved >= 0.95;
         if label.starts_with("full") {

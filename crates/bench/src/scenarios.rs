@@ -485,8 +485,8 @@ pub fn deadline(
     let recorder = std::rc::Rc::new(std::cell::RefCell::new(FlightRecorder::new(48)));
     let registry = TraceRegistry::new();
     registry.set_sink(recorder.clone());
-    registry.register(&format!("{label}:tx"), &h.tx_tracer);
-    registry.register(&format!("{label}:rx"), &h.rx_tracer);
+    registry.register(&format!("{label}:tx"), &h.tx);
+    registry.register(&format!("{label}:rx"), &h.rx);
 
     let ttl_micros = if tag_ttl {
         params.msg_ttl.as_micros() as u32

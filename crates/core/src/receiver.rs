@@ -6,9 +6,9 @@
 //! **SenderLoss** mode (QTPlight) it keeps *only* a reassembly buffer and a
 //! byte counter: feedback is a cumulative ack, up to four SACK blocks, the
 //! echo timestamp pair and the raw receive rate. The per-packet cost gap
-//! between these two paths — measured by the meters this module aggregates
-//! into its [`Probe`] — is the paper's §3 claim, reproduced as experiment
-//! E5.
+//! between these two paths — measured by the meters this module records
+//! into its [`Tracer`]'s counters (`ops`, `data_rx`, `state_bytes_peak`)
+//! — is the paper's §3 claim, reproduced as experiment E5.
 //!
 //! The receiver also implements the **selfish receiver** attack of Georg &
 //! Gorinsky (paper §3's robustness argument): when `selfish_factor > 1`
@@ -34,7 +34,6 @@ use std::time::Duration;
 
 use crate::caps::{CapabilitySet, FeedbackMode, ServerPolicy};
 use crate::driver::{Endpoint, Outbox, TimerGens};
-use crate::probe::Probe;
 use crate::stream::{RecvStream, StreamConfig, StreamRx};
 use crate::wire::{p_to_ppb, QtpPacket};
 
@@ -97,7 +96,6 @@ pub struct QtpReceiver {
     /// beyond the reassembly buffer's own meter).
     own_ops: u64,
     gens: TimerGens<1>,
-    probe: Probe,
     /// Stream data plane reassembler (message extraction + TTL drops).
     stream: Option<StreamRx>,
     /// A FIN was processed (close handshake seen from the peer).
@@ -113,7 +111,6 @@ impl QtpReceiver {
         fb_flow: FlowId,
         sender_node: NodeId,
         cfg: QtpReceiverConfig,
-        probe: Probe,
     ) -> Self {
         // Delivery mode is re-locked at negotiation time (`on_syn`).
         let tracer = Tracer::new(0);
@@ -138,7 +135,6 @@ impl QtpReceiver {
             round_started: None,
             own_ops: 0,
             gens: TimerGens::new(),
-            probe,
             stream,
             fin_seen: false,
             tracer,
@@ -293,34 +289,16 @@ impl QtpReceiver {
                     if delivered > 0 {
                         // This packet plus any buffered run became deliverable.
                         out.app_deliver(self.data_flow, delivered * self.payload_bytes as u64);
-                        let now_s = out.now.as_secs_f64();
-                        let own_latency = now_s - adu_ts_nanos as f64 / 1e9;
-                        // Buffered packets that just flushed.
-                        let flushed: Vec<u64> = self
-                            .pending_adu_ts
-                            .range(..self.buf.cum_ack())
-                            .map(|(_, &ts)| ts)
-                            .collect();
-                        self.pending_adu_ts = self.pending_adu_ts.split_off(&self.buf.cum_ack());
-                        self.probe.update(|d| {
-                            d.latency_sum_s += own_latency.max(0.0);
-                            d.latency_samples += 1;
-                            for ts in flushed {
-                                d.latency_sum_s += (now_s - ts as f64 / 1e9).max(0.0);
-                                d.latency_samples += 1;
-                            }
-                        });
+                        // This packet, then the buffered ones that just flushed.
+                        self.record_latency(out.now, adu_ts_nanos);
+                        self.record_flushed_latency(out.now);
                     } else {
                         self.pending_adu_ts.insert(seq, adu_ts_nanos);
                     }
                 } else {
                     // Unordered delivery: hand every new packet up at once.
                     out.app_deliver(self.data_flow, self.payload_bytes as u64);
-                    let lat = (out.now.as_secs_f64() - adu_ts_nanos as f64 / 1e9).max(0.0);
-                    self.probe.update(|d| {
-                        d.latency_sum_s += lat;
-                        d.latency_samples += 1;
-                    });
+                    self.record_latency(out.now, adu_ts_nanos);
                 }
             }
         }
@@ -330,7 +308,7 @@ impl QtpReceiver {
         if immediate {
             self.send_feedback(out);
         }
-        self.update_probe_costs();
+        self.record_costs();
     }
 
     /// Stream-mode data path: explicit payload bytes, receiver-side TTL
@@ -404,11 +382,7 @@ impl QtpReceiver {
                 qtp_sack::Arrival::Duplicate => {}
                 qtp_sack::Arrival::New { .. } => {
                     out.app_deliver(self.data_flow, payload.len() as u64);
-                    let lat = (out.now.as_secs_f64() - adu_ts_nanos as f64 / 1e9).max(0.0);
-                    self.probe.update(|d| {
-                        d.latency_sum_s += lat;
-                        d.latency_samples += 1;
-                    });
+                    self.record_latency(out.now, adu_ts_nanos);
                     if let Some(srx) = self.stream.as_mut() {
                         srx.on_payload(seq, payload);
                     }
@@ -424,7 +398,7 @@ impl QtpReceiver {
         if immediate {
             self.send_feedback(out);
         }
-        self.update_probe_costs();
+        self.record_costs();
     }
 
     /// Close handshake: always acknowledge a FIN (the sender retries until
@@ -461,17 +435,36 @@ impl QtpReceiver {
         }
     }
 
-    fn update_probe_costs(&mut self) {
+    /// One processed data packet: record the running cost and peak state.
+    fn record_costs(&mut self) {
         let tfrc_ops = self.tfrc_rx.as_ref().map(|t| t.total_ops()).unwrap_or(0);
         let tfrc_state = self.tfrc_rx.as_ref().map(|t| t.state_bytes()).unwrap_or(0);
-        let buf_ops = self.buf.meter.total();
-        let buf_state = self.buf.state_bytes();
-        let own = self.own_ops;
-        self.probe.update(|d| {
-            d.rx_data_pkts += 1;
-            d.rx_ops = tfrc_ops + buf_ops + own;
-            d.rx_state_bytes_peak = d.rx_state_bytes_peak.max(tfrc_state + buf_state);
+        let ops = tfrc_ops + self.buf.meter.total() + self.own_ops;
+        let state = (tfrc_state + self.buf.state_bytes()) as u64;
+        self.tracer.record(|c| {
+            c.data_rx += 1;
+            c.ops = ops;
+            c.state_bytes_peak = c.state_bytes_peak.max(state);
         });
+    }
+
+    /// One delivery's ADU-submit-to-delivery latency.
+    fn record_latency(&self, now: SimTime, adu_ts_nanos: u64) {
+        let lat = now.as_nanos().saturating_sub(adu_ts_nanos);
+        self.tracer.record(|c| {
+            c.latency_sum_ns += lat;
+            c.latency_samples += 1;
+        });
+    }
+
+    /// Latencies of the buffered packets an advancing cumulative ack just
+    /// released to the application.
+    fn record_flushed_latency(&mut self, now: SimTime) {
+        let rest = self.pending_adu_ts.split_off(&self.buf.cum_ack());
+        let flushed = std::mem::replace(&mut self.pending_adu_ts, rest);
+        for ts in flushed.into_values() {
+            self.record_latency(now, ts);
+        }
     }
 
     fn feedback_interval(&self) -> Duration {
@@ -554,7 +547,6 @@ impl QtpReceiver {
         );
         self.bytes_since_fb = 0;
         self.round_started = Some(out.now);
-        self.probe.update(|d| d.rx_feedback_sent += 1);
     }
 
     fn on_forward(&mut self, out: &mut Outbox, new_cum: u64) {
@@ -566,19 +558,7 @@ impl QtpReceiver {
         // runs here would double-count.
         if released > 0 && self.reliability().retransmits() && self.stream.is_none() {
             out.app_deliver(self.data_flow, released * self.payload_bytes as u64);
-            let flushed: Vec<u64> = self
-                .pending_adu_ts
-                .range(..self.buf.cum_ack())
-                .map(|(_, &ts)| ts)
-                .collect();
-            self.pending_adu_ts = self.pending_adu_ts.split_off(&self.buf.cum_ack());
-            let now_s = out.now.as_secs_f64();
-            self.probe.update(|d| {
-                for ts in flushed {
-                    d.latency_sum_s += (now_s - ts as f64 / 1e9).max(0.0);
-                    d.latency_samples += 1;
-                }
-            });
+            self.record_flushed_latency(out.now);
         }
         self.own_ops += 2;
     }

@@ -35,7 +35,6 @@ use crate::caps::{CapabilitySet, FeedbackMode};
 use crate::cc::controller_for;
 use crate::driver::{Endpoint, Outbox, TimerGens};
 use crate::estimator::SenderLossEstimator;
-use crate::probe::Probe;
 use crate::stream::{SendStream, StreamConfig, StreamTx};
 use crate::wire::{ppb_to_p, QtpPacket, IP_OVERHEAD, MAX_STREAM_PAYLOAD};
 
@@ -100,10 +99,18 @@ const TK_PACE: u64 = 1;
 const TK_NOFB: u64 = 2;
 const TK_APP: u64 = 3;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Handshake state. The negotiated profile and the machinery it selects
+/// exist only once running, so no code path can reach a controller
+/// before the SYNACK.
 enum State {
     AwaitSynAck,
-    Running,
+    Running {
+        chosen: CapabilitySet,
+        cc: Box<dyn CongestionControl>,
+        /// Sender-side loss estimation; present exactly when the
+        /// negotiated feedback mode is `SenderLoss` (QTPlight).
+        estimator: Option<SenderLossEstimator>,
+    },
 }
 
 /// The QTP sender endpoint.
@@ -112,14 +119,11 @@ pub struct QtpSender {
     receiver_node: NodeId,
     cfg: QtpSenderConfig,
     state: State,
-    chosen: Option<CapabilitySet>,
-    cc: Option<Box<dyn CongestionControl>>,
     /// Last controller phase code surfaced in the trace (BBR-lite), so
     /// transitions emit exactly one `CcPhaseChange`.
     last_cc_phase: Option<u8>,
     sb: Scoreboard,
     policy: qtp_sack::ReliabilityPolicy,
-    estimator: Option<SenderLossEstimator>,
     /// Pending application packets: submission time of each not-yet-sent
     /// packet (only bounded for the Cbr model).
     backlog: std::collections::VecDeque<SimTime>,
@@ -134,7 +138,6 @@ pub struct QtpSender {
     last_fwd: SimTime,
     /// Latest receive-rate report (for estimator synthesis).
     last_x_recv: f64,
-    probe: Probe,
     /// Stream data plane (replaces `cfg.app` as the traffic source).
     stream: Option<StreamTx>,
     /// Sent stream chunks retained for retransmission; pruned as the
@@ -165,7 +168,7 @@ struct StreamChunk {
 const FIN_MAX_RETRIES: u32 = 8;
 
 impl QtpSender {
-    pub fn new(flow: FlowId, receiver_node: NodeId, cfg: QtpSenderConfig, probe: Probe) -> Self {
+    pub fn new(flow: FlowId, receiver_node: NodeId, cfg: QtpSenderConfig) -> Self {
         let policy = qtp_sack::ReliabilityPolicy::new(cfg.offered.reliability);
         let chunked = matches!(cfg.offered.reliability, ReliabilityMode::Full);
         let stream = cfg.stream.as_ref().map(|sc| StreamTx::new(sc, chunked));
@@ -174,19 +177,15 @@ impl QtpSender {
             receiver_node,
             cfg,
             state: State::AwaitSynAck,
-            chosen: None,
-            cc: None,
             last_cc_phase: None,
             sb: Scoreboard::new(),
             policy,
-            estimator: None,
             backlog: std::collections::VecDeque::new(),
             sent_new: 0,
             adu_ts: BTreeMap::new(),
             gens: TimerGens::new(),
             last_fwd: SimTime::ZERO,
             last_x_recv: 0.0,
-            probe,
             stream,
             chunks: BTreeMap::new(),
             close_requested: false,
@@ -222,7 +221,7 @@ impl QtpSender {
         if let Some(s) = &self.stream {
             s.handle().finish();
         }
-        if self.state != State::Running {
+        if matches!(self.state, State::AwaitSynAck) {
             // Nothing on the wire yet: close locally.
             self.closed = true;
         }
@@ -236,7 +235,31 @@ impl QtpSender {
 
     /// The negotiated profile (once the handshake completed).
     pub fn negotiated(&self) -> Option<CapabilitySet> {
-        self.chosen
+        match &self.state {
+            State::Running { chosen, .. } => Some(*chosen),
+            State::AwaitSynAck => None,
+        }
+    }
+
+    /// The negotiated controller (once running).
+    fn cc(&self) -> Option<&dyn CongestionControl> {
+        match &self.state {
+            State::Running { cc, .. } => Some(cc.as_ref()),
+            State::AwaitSynAck => None,
+        }
+    }
+
+    /// The controller's smoothed RTT, if it has one yet.
+    fn rtt(&self) -> Option<Duration> {
+        self.cc().and_then(|cc| cc.rtt())
+    }
+
+    /// Whether the negotiated reliability class retransmits (false
+    /// before the handshake).
+    fn retransmits(&self) -> bool {
+        self.negotiated()
+            .map(|c| c.reliability.retransmits())
+            .unwrap_or(false)
     }
 
     /// Whether every packet handed to the network has been acknowledged
@@ -285,11 +308,9 @@ impl QtpSender {
     }
 
     fn on_synack(&mut self, out: &mut Outbox, ts_echo_nanos: u64, chosen: CapabilitySet) {
-        if self.state == State::Running {
+        if matches!(self.state, State::Running { .. }) {
             return; // duplicate SYNACK
         }
-        self.state = State::Running;
-        self.chosen = Some(chosen);
         self.tracer.emit(
             out.now.as_nanos(),
             TraceEventKind::State(ConnState::Connected),
@@ -300,13 +321,18 @@ impl QtpSender {
             .max(Duration::from_micros(100));
         let mut cc = controller_for(chosen.cc, self.cfg.s);
         cc.seed_rtt(out.now, rtt);
-        self.cc = Some(cc);
+        let nofb = cc.nofeedback_deadline();
         self.policy = qtp_sack::ReliabilityPolicy::new(chosen.reliability);
-        if chosen.feedback == FeedbackMode::SenderLoss {
+        let estimator = (chosen.feedback == FeedbackMode::SenderLoss).then(|| {
             let mut est = SenderLossEstimator::new(self.cfg.s);
             est.set_grouping(!self.cfg.ablate_ungrouped_losses);
-            self.estimator = Some(est);
-        }
+            est
+        });
+        self.state = State::Running {
+            chosen,
+            cc,
+            estimator,
+        };
         // Negotiation may have changed the reliability class; re-lock the
         // stream framing mode before any stream data goes out.
         if let Some(s) = &self.stream {
@@ -317,7 +343,6 @@ impl QtpSender {
             self.arm(out, TK_APP, out.now);
         }
         self.arm(out, TK_PACE, out.now);
-        let nofb = self.cc.as_ref().unwrap().nofeedback_deadline();
         self.arm(out, TK_NOFB, nofb);
     }
 
@@ -365,15 +390,10 @@ impl QtpSender {
     /// Sender-side staleness drop (TTL reliability, Cbr model): stale ADUs
     /// are discarded before ever being transmitted.
     fn drop_stale_backlog(&mut self, now: SimTime) {
-        if let ReliabilityMode::PartialTtl(ttl) = self
-            .chosen
-            .map(|c| c.reliability)
-            .unwrap_or(ReliabilityMode::None)
-        {
+        if let Some(ReliabilityMode::PartialTtl(ttl)) = self.negotiated().map(|c| c.reliability) {
             while let Some(&submit) = self.backlog.front() {
                 if now.saturating_since(submit) >= ttl {
                     self.backlog.pop_front();
-                    self.probe.update(|d| d.tx_abandoned += 1);
                     self.tracer
                         .emit(now.as_nanos(), TraceEventKind::PktExpired { seq: 0 });
                 } else {
@@ -390,12 +410,7 @@ impl QtpSender {
     }
 
     fn send_data(&mut self, out: &mut Outbox, seq: u64, adu_ts: SimTime, is_retx: bool) {
-        let rtt_hint_micros = self
-            .cc
-            .as_ref()
-            .and_then(|cc| cc.rtt())
-            .map(|r| r.as_micros() as u32)
-            .unwrap_or(0);
+        let rtt_hint_micros = self.rtt().map(|r| r.as_micros() as u32).unwrap_or(0);
         let pkt = QtpPacket::Data {
             seq,
             ts_nanos: out.now.as_nanos(),
@@ -406,7 +421,7 @@ impl QtpSender {
         let header = pkt.encode();
         let size = self.data_wire_size(header.len());
         out.send_new(self.flow, self.receiver_node, size, header);
-        if let Some(cc) = self.cc.as_mut() {
+        if let State::Running { cc, .. } = &mut self.state {
             cc.on_send(out.now, size);
         }
         self.tracer.emit(
@@ -418,21 +433,10 @@ impl QtpSender {
                 retx: is_retx,
             },
         );
-        self.probe.update(|d| {
-            d.tx_data_pkts += 1;
-            if is_retx {
-                d.tx_retransmissions += 1;
-            }
-        });
     }
 
     fn send_stream_data(&mut self, out: &mut Outbox, seq: u64, chunk: &StreamChunk, is_retx: bool) {
-        let rtt_hint_micros = self
-            .cc
-            .as_ref()
-            .and_then(|cc| cc.rtt())
-            .map(|r| r.as_micros() as u32)
-            .unwrap_or(0);
+        let rtt_hint_micros = self.rtt().map(|r| r.as_micros() as u32).unwrap_or(0);
         let pkt = QtpPacket::StreamData {
             seq,
             ts_nanos: out.now.as_nanos(),
@@ -446,7 +450,7 @@ impl QtpSender {
         // The payload rides inside the header bytes; only IP overhead on top.
         let size = header.len() as u32 + IP_OVERHEAD;
         out.send_new(self.flow, self.receiver_node, size, header);
-        if let Some(cc) = self.cc.as_mut() {
+        if let State::Running { cc, .. } = &mut self.state {
             cc.on_send(out.now, size);
         }
         self.tracer.emit(
@@ -458,12 +462,6 @@ impl QtpSender {
                 retx: is_retx,
             },
         );
-        self.probe.update(|d| {
-            d.tx_data_pkts += 1;
-            if is_retx {
-                d.tx_retransmissions += 1;
-            }
-        });
     }
 
     /// Stream-mode transmission: retransmit retained chunks first, then
@@ -481,17 +479,16 @@ impl QtpSender {
             }
             self.sb.abandon(seq);
             self.chunks.remove(&seq);
-            self.probe.update(|d| d.tx_abandoned += 1);
             self.tracer
                 .emit(out.now.as_nanos(), TraceEventKind::PktExpired { seq });
         }
         let max = (self.cfg.s as usize).min(MAX_STREAM_PAYLOAD);
-        let Some((bytes, ttl_micros)) = self.stream.as_mut().unwrap().next_chunk(max) else {
+        let Some((bytes, ttl_micros)) = self.stream.as_mut().and_then(|s| s.next_chunk(max)) else {
             return;
         };
         let seq = self.sb.register_send(out.now);
         self.sent_new += 1;
-        let reliability = self.chosen.map(|c| c.reliability);
+        let reliability = self.negotiated().map(|c| c.reliability);
         if matches!(reliability, Some(ReliabilityMode::PartialTtl(_))) {
             self.policy
                 .register_adu(SeqRange::new(seq, seq + 1), out.now);
@@ -527,7 +524,6 @@ impl QtpSender {
             }
             // Abandoned: drop from the retransmission queue and keep going.
             self.sb.abandon(seq);
-            self.probe.update(|d| d.tx_abandoned += 1);
             self.tracer
                 .emit(out.now.as_nanos(), TraceEventKind::PktExpired { seq });
         }
@@ -535,7 +531,7 @@ impl QtpSender {
             let submit = self.next_submit_ts(out.now);
             let seq = self.sb.register_send(out.now);
             self.sent_new += 1;
-            let reliability = self.chosen.map(|c| c.reliability);
+            let reliability = self.negotiated().map(|c| c.reliability);
             if matches!(reliability, Some(ReliabilityMode::PartialTtl(_))) {
                 self.policy
                     .register_adu(SeqRange::new(seq, seq + 1), submit);
@@ -552,11 +548,7 @@ impl QtpSender {
         let Some(fp) = self.policy.forward_point(self.sb.cum_ack()) else {
             return;
         };
-        let rtt = self
-            .cc
-            .as_ref()
-            .and_then(|cc| cc.rtt())
-            .unwrap_or(Duration::from_millis(100));
+        let rtt = self.rtt().unwrap_or(Duration::from_millis(100));
         if out.now.saturating_since(self.last_fwd) < rtt {
             return;
         }
@@ -576,7 +568,10 @@ impl QtpSender {
     }
 
     fn on_pace(&mut self, out: &mut Outbox) {
-        if self.state != State::Running || self.closed {
+        let Some(cwnd_limit) = self.cc().map(|cc| cc.cwnd_limit()) else {
+            return; // not yet negotiated
+        };
+        if self.closed {
             return; // closed: let the timer lapse without re-arming
         }
         self.check_tail_loss(out.now);
@@ -584,7 +579,7 @@ impl QtpSender {
         // when the window is full the pace timer keeps ticking but no
         // packet leaves. Rate-based controllers return no limit, so their
         // scheduling is untouched.
-        let window_open = match self.cc.as_ref().and_then(|cc| cc.cwnd_limit()) {
+        let window_open = match cwnd_limit {
             Some(limit) => self.sb.in_flight() * u64::from(self.cfg.s) < limit,
             None => true,
         };
@@ -596,7 +591,9 @@ impl QtpSender {
         if self.closed {
             return;
         }
-        let interval = self.cc.as_ref().unwrap().send_interval();
+        let Some(interval) = self.cc().map(|cc| cc.send_interval()) else {
+            return;
+        };
         // Clamp pathological intervals so the event loop stays healthy.
         let interval = interval.clamp(Duration::from_micros(10), Duration::from_secs(2));
         self.arm(out, TK_PACE, out.now + interval);
@@ -616,11 +613,7 @@ impl QtpSender {
         if self.app_has_data() || self.sb.next_lost().is_some() {
             return false;
         }
-        let retransmits = self
-            .chosen
-            .map(|c| c.reliability.retransmits())
-            .unwrap_or(false);
-        !retransmits || self.sb.all_acked()
+        !self.retransmits() || self.sb.all_acked()
     }
 
     /// (Re)send FIN from the pace cadence with an RTO-style backoff; after
@@ -629,11 +622,7 @@ impl QtpSender {
         if self.fin_acked || self.closed || !self.fin_ready() {
             return;
         }
-        let rtt = self
-            .cc
-            .as_ref()
-            .and_then(|cc| cc.rtt())
-            .unwrap_or(Duration::from_millis(100));
+        let rtt = self.rtt().unwrap_or(Duration::from_millis(100));
         let rto = (rtt * 2).max(Duration::from_millis(50));
         let due = match self.fin_sent_at {
             None => true,
@@ -678,18 +667,10 @@ impl QtpSender {
     /// progress for several RTTs, presume everything unsacked lost so the
     /// reliability machinery can act (SACK cannot report tail losses).
     fn check_tail_loss(&mut self, now: SimTime) {
-        let retransmits = self
-            .chosen
-            .map(|c| c.reliability.retransmits())
-            .unwrap_or(false);
-        if !retransmits || self.sb.all_acked() {
+        if !self.retransmits() || self.sb.all_acked() {
             return;
         }
-        let rtt = self
-            .cc
-            .as_ref()
-            .and_then(|cc| cc.rtt())
-            .unwrap_or(Duration::from_millis(100));
+        let rtt = self.rtt().unwrap_or(Duration::from_millis(100));
         let timeout = (rtt * 4).max(Duration::from_millis(500));
         if let Some(oldest) = self.sb.oldest_outstanding_send_time() {
             if now.saturating_since(oldest) > timeout {
@@ -710,9 +691,17 @@ impl QtpSender {
             cum_ack,
             blocks,
         } = fb;
-        if self.state != State::Running || self.closed {
+        if self.closed {
             return;
         }
+        let State::Running {
+            chosen,
+            cc,
+            estimator,
+        } = &mut self.state
+        else {
+            return;
+        };
         let prev_cum = self.sb.cum_ack();
         let digest = self.sb.on_feedback(cum_ack, blocks);
         if self.sb.cum_ack() > prev_cum {
@@ -730,11 +719,7 @@ impl QtpSender {
                     pkts: digest.newly_lost.len() as u32,
                 },
             );
-            let retransmits = self
-                .chosen
-                .map(|c| c.reliability.retransmits())
-                .unwrap_or(false);
-            if !retransmits {
+            if !chosen.reliability.retransmits() {
                 // Nothing will be retransmitted: abandon immediately so the
                 // receiver can be moved past the holes.
                 for &(seq, _) in &digest.newly_lost {
@@ -744,20 +729,12 @@ impl QtpSender {
             }
         }
 
-        // The composition seam: where does p come from?
-        let chosen = self.chosen.expect("running implies negotiated");
-        let p = match chosen.feedback {
-            FeedbackMode::ReceiverLoss => p_ppb.map(ppb_to_p).unwrap_or(0.0),
-            FeedbackMode::SenderLoss => {
-                let est = self
-                    .estimator
-                    .as_mut()
-                    .expect("SenderLoss mode implies estimator");
-                let rtt = self
-                    .cc
-                    .as_ref()
-                    .and_then(|cc| cc.rtt())
-                    .unwrap_or(Duration::from_millis(100));
+        // The composition seam: where does p come from? The receiver's
+        // report (ReceiverLoss), or the local estimator (SenderLoss).
+        let p = match estimator {
+            None => p_ppb.map(ppb_to_p).unwrap_or(0.0),
+            Some(est) => {
+                let rtt = cc.rtt().unwrap_or(Duration::from_millis(100));
                 est.on_losses(&digest.newly_lost, rtt, x_recv as f64);
                 est.loss_event_rate(self.sb.highest_seen())
             }
@@ -772,17 +749,15 @@ impl QtpSender {
             newly_acked_bytes: (self.sb.cum_ack() - prev_cum) * self.cfg.s as u64,
             newly_lost_pkts: digest.newly_lost.len() as u32,
         };
-        let cc = self.cc.as_mut().unwrap();
         cc.on_feedback(&report);
         let rate = cc.allowed_rate();
         let nofb = cc.nofeedback_deadline();
-        let rtt_s = cc.rtt().map(|r| r.as_secs_f64()).unwrap_or(0.0);
+        let srtt = cc.rtt();
+        let ops = cc.ops()
+            + estimator.as_ref().map(|e| e.total_ops()).unwrap_or(0)
+            + self.sb.meter.total();
+        let rtt_s = srtt.map(|r| r.as_secs_f64()).unwrap_or(0.0);
         self.arm(out, TK_NOFB, nofb);
-        let (cc_ops, est_ops, sb_ops) = (
-            self.cc.as_ref().unwrap().ops(),
-            self.estimator.as_ref().map(|e| e.total_ops()).unwrap_or(0),
-            self.sb.meter.total(),
-        );
         let now = out.now;
         self.tracer.emit(
             now.as_nanos(),
@@ -792,11 +767,10 @@ impl QtpSender {
                 rtt_us: (rtt_s * 1e6) as u64,
             },
         );
-        self.probe.update(|d| {
-            d.rate_trace.push((now, rate));
-            d.p_trace.push((now, p));
-            d.rtt_estimate_s = rtt_s;
-            d.tx_ops = cc_ops + est_ops + sb_ops;
+        self.tracer.record(|c| {
+            c.srtt_ns = srtt.map(|r| r.as_nanos() as u64).unwrap_or(0);
+            c.p_sum_ppb += (p * 1e9) as u64;
+            c.ops = ops;
         });
         self.emit_cc_state(now);
         // Feedback may unblock the window (e.g. new losses to retransmit).
@@ -807,7 +781,7 @@ impl QtpSender {
     /// controllers. The TFRC-family states emit nothing extra here, so
     /// traces of pre-existing runs stay frozen.
     fn emit_cc_state(&mut self, now: SimTime) {
-        let Some(state) = self.cc.as_ref().map(|cc| cc.state()) else {
+        let Some(state) = self.cc().map(|cc| cc.state()) else {
             return;
         };
         match state {
@@ -856,11 +830,13 @@ impl QtpSender {
         if self.closed {
             return;
         }
-        let Some(cc) = self.cc.as_mut() else { return };
+        let State::Running { cc, .. } = &mut self.state else {
+            return;
+        };
         if out.now >= cc.nofeedback_deadline() {
             cc.on_nofeedback_timer(out.now);
         }
-        let next = self.cc.as_ref().unwrap().nofeedback_deadline();
+        let next = cc.nofeedback_deadline();
         self.arm(out, TK_NOFB, next);
     }
 }
@@ -955,7 +931,7 @@ impl Endpoint for QtpSender {
                     TraceEventKind::TimerFired { kind: kind as u8 },
                 );
                 match kind {
-                    TK_SYN if self.state == State::AwaitSynAck => self.send_syn(out),
+                    TK_SYN if matches!(self.state, State::AwaitSynAck) => self.send_syn(out),
                     TK_SYN => {}
                     TK_PACE => self.on_pace(out),
                     TK_NOFB => self.on_nofb(out),

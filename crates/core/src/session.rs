@@ -34,7 +34,7 @@
 //! single program here run unchanged on the simulator and over real
 //! sockets.
 
-use qtp_metrics::trace::{TraceEventKind, TraceRegistry, Tracer};
+use qtp_metrics::trace::{CounterSet, TraceEventKind, TraceRegistry, Tracer};
 use qtp_sack::ReliabilityMode;
 use qtp_simnet::packet::{FlowId, NodeId};
 use qtp_simnet::prelude::*;
@@ -48,7 +48,6 @@ use std::time::Duration;
 use crate::adapter::{SimAgent, SimHost};
 use crate::caps::{CapabilitySet, CapsError, CcKind, FeedbackMode, ServerPolicy};
 use crate::driver::{Command, Endpoint, Outbox};
-use crate::probe::{Probe, ProbeData};
 use crate::receiver::{QtpReceiver, QtpReceiverConfig};
 use crate::sender::{AppModel, QtpSender, QtpSenderConfig};
 use crate::stream::{RecvStream, SendStream, StreamConfig};
@@ -466,7 +465,7 @@ impl ConnectionPlan {
 // ---------------------------------------------------------------------------
 
 /// A typed event observed on a [`Session`] — the application-facing view
-/// of negotiation outcomes and delivery, with no reaching into probes.
+/// of negotiation outcomes and delivery, with no reaching into counters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionEvent {
     /// The handshake completed; this is the service the network granted.
@@ -521,7 +520,8 @@ pub enum SessionEvent {
 /// Cloneable handle onto a session's event queue.
 ///
 /// Sessions attached to the simulator are moved into it (like agents), so
-/// observers keep one of these — the session-event analogue of [`Probe`].
+/// observers keep one of these — the session-event analogue of its
+/// [`Tracer`].
 #[derive(Debug, Default, Clone)]
 pub struct SessionEvents {
     inner: Rc<RefCell<VecDeque<SessionEvent>>>,
@@ -604,7 +604,6 @@ pub struct Session {
     connected: bool,
     delivered_bytes: u64,
     abandoned_seen: u64,
-    probe: Probe,
     events: SessionEvents,
     /// Sender-side stream state, polled for `Writable` edges.
     send_shared: Option<Rc<RefCell<crate::stream::SendShared>>>,
@@ -623,11 +622,10 @@ impl Session {
     /// under the simulator; real-socket drivers map every id onto the
     /// connected peer).
     pub fn sender(data_flow: FlowId, peer: NodeId, plan: &ConnectionPlan) -> Session {
-        let probe = Probe::new();
-        let sender = QtpSender::new(data_flow, peer, plan.sender_config(), probe.clone());
+        let sender = QtpSender::new(data_flow, peer, plan.sender_config());
         Session {
             send_shared: sender.stream_shared(),
-            ..Session::wrap(sender.tracer(), Role::Sender(sender), probe)
+            ..Session::wrap(sender.tracer(), Role::Sender(sender))
         }
     }
 
@@ -639,17 +637,10 @@ impl Session {
         peer: NodeId,
         plan: &ConnectionPlan,
     ) -> Session {
-        let probe = Probe::new();
-        let receiver = QtpReceiver::new(
-            data_flow,
-            fb_flow,
-            peer,
-            plan.receiver_config(),
-            probe.clone(),
-        );
+        let receiver = QtpReceiver::new(data_flow, fb_flow, peer, plan.receiver_config());
         Session {
             recv_shared: receiver.stream_shared(),
-            ..Session::wrap(receiver.tracer(), Role::Receiver(receiver), probe)
+            ..Session::wrap(receiver.tracer(), Role::Receiver(receiver))
         }
     }
 
@@ -673,7 +664,7 @@ impl Session {
         }
     }
 
-    fn wrap(tracer: Tracer, inner: Role, probe: Probe) -> Session {
+    fn wrap(tracer: Tracer, inner: Role) -> Session {
         Session {
             inner,
             out: Outbox::new(),
@@ -682,7 +673,6 @@ impl Session {
             connected: false,
             delivered_bytes: 0,
             abandoned_seen: 0,
-            probe,
             events: SessionEvents::default(),
             send_shared: None,
             recv_shared: None,
@@ -765,7 +755,7 @@ impl Session {
                 self.events.push(SessionEvent::Connected { negotiated });
             }
         }
-        let abandoned = self.probe.read(|d| d.tx_abandoned);
+        let abandoned = self.tracer.counters().abandoned;
         if abandoned > self.abandoned_seen {
             self.events.push(SessionEvent::TtlExpired {
                 packets: abandoned - self.abandoned_seen,
@@ -825,13 +815,10 @@ impl Session {
         self.events.clone()
     }
 
-    /// The endpoint's measurement probe (processing costs, traces).
-    pub fn probe(&self) -> &Probe {
-        &self.probe
-    }
-
-    /// The endpoint's [`Tracer`]: per-connection counters always, plus
-    /// event forwarding once a sink is attached (e.g. via
+    /// The endpoint's [`Tracer`], its one measurement handle:
+    /// per-connection counters (wire events plus the recorded processing
+    /// cost, state, RTT and latency) always, and event forwarding once a
+    /// sink is attached (e.g. via
     /// [`TraceRegistry::register`]). Cheap to clone and kept valid after
     /// the session moves into a simulator or driver.
     pub fn tracer(&self) -> Tracer {
@@ -841,13 +828,6 @@ impl Session {
     /// Application bytes delivered by this session (receiver side).
     pub fn delivered_bytes(&self) -> u64 {
         self.delivered_bytes
-    }
-
-    /// Soft errors absorbed by this session (malformed capability offers
-    /// dropped on the floor). Reads the tracer's counters — the same
-    /// figure a [`TraceRegistry`] snapshot reports.
-    pub fn soft_errors(&self) -> u64 {
-        self.tracer.counters().soft_errors
     }
 
     /// Whether [`Session::close`] was called.
@@ -929,10 +909,10 @@ pub struct PairHandles {
     pub data_flow: FlowId,
     /// Flow id of the feedback direction.
     pub fb_flow: FlowId,
-    /// Sender-side probe.
-    pub tx: Probe,
-    /// Receiver-side probe.
-    pub rx: Probe,
+    /// Sender-side tracer: counters, plus events once a sink is attached.
+    pub tx: Tracer,
+    /// Receiver-side tracer.
+    pub rx: Tracer,
     /// Sender-side session events.
     pub tx_events: SessionEvents,
     /// Receiver-side session events.
@@ -941,10 +921,6 @@ pub struct PairHandles {
     pub tx_stream: Option<SendStream>,
     /// Receiving half of the stream data plane.
     pub rx_stream: Option<RecvStream>,
-    /// Sender-side tracer (counters + event emission).
-    pub tx_tracer: Tracer,
-    /// Receiver-side tracer.
-    pub rx_tracer: Tracer,
 }
 
 impl PairHandles {
@@ -952,14 +928,12 @@ impl PairHandles {
         PairHandles {
             data_flow,
             fb_flow,
-            tx: tx.probe().clone(),
-            rx: rx.probe().clone(),
+            tx: tx.tracer(),
+            rx: rx.tracer(),
             tx_events: tx.events(),
             rx_events: rx.events(),
             tx_stream: tx.send_stream(),
             rx_stream: rx.recv_stream(),
-            tx_tracer: tx.tracer(),
-            rx_tracer: rx.tracer(),
         }
     }
 }
@@ -1045,10 +1019,10 @@ pub struct ConnectionOutcome {
     pub tx_events: Vec<SessionEvent>,
     /// Receiver-side session events, in order.
     pub rx_events: Vec<SessionEvent>,
-    /// Sender-side probe snapshot (rate/loss traces, retransmissions).
-    pub tx: ProbeData,
-    /// Receiver-side probe snapshot (per-packet cost, peak state).
-    pub rx: ProbeData,
+    /// Sender-side counters (retransmissions, abandonments, RTT, cost).
+    pub tx: CounterSet,
+    /// Receiver-side counters (per-packet cost, peak state, latency).
+    pub rx: CounterSet,
 }
 
 /// The run-a-scenario seam: every backend takes the same
@@ -1163,7 +1137,7 @@ pub(crate) fn plan_complete(
     plan: &ConnectionPlan,
     negotiated: Option<CapabilitySet>,
     delivered_bytes: u64,
-    tx: &Probe,
+    tx: &CounterSet,
 ) -> bool {
     let Some(packets) = plan.finite_packets() else {
         return false;
@@ -1171,7 +1145,7 @@ pub(crate) fn plan_complete(
     if plan.effective_reliability(negotiated) == ReliabilityMode::Full {
         delivered_bytes >= packets * plan.payload as u64
     } else {
-        tx.read(|d| d.tx_data_pkts - d.tx_retransmissions) >= packets
+        tx.data_tx - tx.retransmits >= packets
     }
 }
 
@@ -1253,8 +1227,8 @@ impl SimBackend {
             .collect();
         if let Some(reg) = &self.trace {
             for (label, h) in labels.iter().zip(&handles) {
-                reg.register(&format!("{label}:tx"), &h.tx_tracer);
-                reg.register(&format!("{label}:rx"), &h.rx_tracer);
+                reg.register(&format!("{label}:tx"), &h.tx);
+                reg.register(&format!("{label}:rx"), &h.rx);
             }
         }
 
@@ -1272,7 +1246,8 @@ impl SimBackend {
                     continue;
                 }
                 let delivered = sim.stats().flow(h.data_flow).bytes_app_delivered;
-                if plan_complete(plan, connected_caps(&h.tx_events), delivered, &h.tx) {
+                let caps = connected_caps(&h.tx_events);
+                if plan_complete(plan, caps, delivered, &h.tx.counters()) {
                     completion[i] = Some(t);
                 } else {
                     all_done = false;
@@ -1302,8 +1277,8 @@ impl SimBackend {
                     },
                     tx_events: h.tx_events.drain(),
                     rx_events: h.rx_events.drain(),
-                    tx: h.tx.snapshot(),
-                    rx: h.rx.snapshot(),
+                    tx: h.tx.counters(),
+                    rx: h.rx.counters(),
                 }
             })
             .collect();
@@ -1748,7 +1723,7 @@ mod tests {
         // 5% loss: with reliability refused, full delivery is (almost
         // surely) impossible — which is exactly why the offer must not be
         // the completion criterion.
-        assert_eq!(o.tx.tx_retransmissions, 0);
+        assert_eq!(o.tx.retransmits, 0);
     }
 
     #[test]
@@ -1771,7 +1746,7 @@ mod tests {
             })
             .sum();
         assert!(expired > 0, "stale ADUs abandoned under TTL reliability");
-        assert_eq!(expired, outcomes[0].tx.tx_abandoned);
+        assert_eq!(expired, outcomes[0].tx.abandoned);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! End-to-end tests of the composed QTP endpoints over simulated networks.
 
-use qtp_core::session::{attach_pair, ConnectionPlan, Profile};
+use qtp_core::session::{attach_pair, ConnectionPlan, Profile, Session};
 use qtp_core::*;
+use qtp_metrics::trace::{CounterSet, PktKind, TraceEvent, TraceEventKind, TraceSink};
 use qtp_simnet::prelude::*;
 use qtp_simnet::sim::Simulator;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 /// Two hosts joined by a duplex link with the given forward-path properties.
@@ -53,7 +56,7 @@ fn handshake_negotiates_offered_profile() {
     sim.run_until(SimTime::from_secs(2));
     // Data flowed, so the handshake happened.
     assert!(sim.stats().flow(h.data_flow).pkts_arrived > 10);
-    assert!(h.rx.read(|d| d.rx_feedback_sent) > 0);
+    assert!(h.rx.counters().feedback_tx > 0);
 }
 
 #[test]
@@ -151,7 +154,7 @@ fn qtp_af_full_reliability_delivers_everything() {
         1000 * 1000,
         "every byte must arrive despite 3% loss"
     );
-    assert!(h.tx.read(|d| d.tx_retransmissions) > 0, "loss implies retx");
+    assert!(h.tx.counters().retransmits > 0, "loss implies retx");
 }
 
 #[test]
@@ -169,8 +172,10 @@ fn partial_ttl_abandons_stale_data_and_keeps_flowing() {
     );
     let h = attach_pair(&mut sim, s, r, "pttl", &plan);
     sim.run_until(SimTime::from_secs(30));
-    let d = h.tx.snapshot();
-    assert!(d.tx_abandoned > 0, "stale losses must be abandoned");
+    assert!(
+        h.tx.counters().abandoned > 0,
+        "stale losses must be abandoned"
+    );
     // Goodput continues (receiver is moved past holes by FWD).
     assert!(
         sim.stats().flow(h.data_flow).bytes_app_delivered > 1_000_000,
@@ -217,7 +222,7 @@ fn selfish_receiver_cheats_standard_tfrc_but_not_qtplight() {
 #[test]
 fn qtplight_receiver_is_dramatically_cheaper() {
     // E5 in test form: ops/packet at the receiver.
-    fn run(profile: Profile, seed: u64) -> (f64, usize) {
+    fn run(profile: Profile, seed: u64) -> (f64, u64) {
         let (mut sim, s, r) = two_hosts(
             Rate::from_mbps(10),
             Duration::from_millis(20),
@@ -228,8 +233,8 @@ fn qtplight_receiver_is_dramatically_cheaper() {
         let h = attach_pair(&mut sim, s, r, "x", &ConnectionPlan::new(profile));
         sim.run_until(SimTime::from_secs(30));
         (
-            h.rx.read(|d| d.rx_ops_per_packet()),
-            h.rx.read(|d| d.rx_state_bytes_peak),
+            h.rx.counters().ops_per_pkt(),
+            h.rx.counters().state_bytes_peak,
         )
     }
     let (std_ops, std_state) = run(Profile::tfrc(), 8);
@@ -262,10 +267,10 @@ fn server_policy_downgrade_is_respected_end_to_end() {
     sim.run_until(SimTime::from_secs(5));
     // The connection still works (data flows, feedback arrives with p).
     assert!(sim.stats().flow(h.data_flow).pkts_arrived > 50);
-    assert!(h.rx.read(|d| d.rx_feedback_sent) > 0);
+    assert!(h.rx.counters().feedback_tx > 0);
     // And the receiver load is the heavy profile (ops/pkt well above the
     // light receiver's ~10).
-    assert!(h.rx.read(|d| d.rx_ops_per_packet()) > 10.0);
+    assert!(h.rx.counters().ops_per_pkt() > 10.0);
 }
 
 #[test]
@@ -319,8 +324,8 @@ fn negotiated_mode_reported_by_handles() {
         &ConnectionPlan::new(Profile::qtp_light()),
     );
     sim.run_until(SimTime::from_secs(10));
-    assert_eq!(h.tx.read(|d| d.tx_retransmissions), 0);
-    assert_eq!(h.tx.read(|d| d.tx_abandoned), 0);
+    assert_eq!(h.tx.counters().retransmits, 0);
+    assert_eq!(h.tx.counters().abandoned, 0);
     // Goodput equals network throughput minus header overhead (unreliable
     // mode delivers everything that arrives).
     let f = sim.stats().flow(h.data_flow);
@@ -330,7 +335,7 @@ fn negotiated_mode_reported_by_handles() {
 
 #[test]
 fn deterministic_across_runs() {
-    fn run() -> (u64, u64, f64) {
+    fn run() -> (u64, u64, CounterSet) {
         let (mut sim, s, r) = two_hosts(
             Rate::from_mbps(5),
             Duration::from_millis(20),
@@ -347,11 +352,100 @@ fn deterministic_across_runs() {
         );
         sim.run_until(SimTime::from_secs(20));
         let f = sim.stats().flow(h.data_flow);
-        (
-            f.pkts_arrived,
-            f.bytes_app_delivered,
-            h.tx.read(|d| d.rate_trace.last().map(|(_, r)| *r).unwrap_or(0.0)),
-        )
+        (f.pkts_arrived, f.bytes_app_delivered, h.tx.counters())
     }
     assert_eq!(run(), run());
+}
+
+/// A session the test can still read after mounting it in the simulator.
+struct Shared(Rc<RefCell<Session>>);
+
+impl Endpoint for Shared {
+    fn on_start(&mut self, out: &mut Outbox) {
+        self.0.borrow_mut().on_start(out)
+    }
+
+    fn handle_datagram(&mut self, out: &mut Outbox, wire_size: u32, header: &[u8]) {
+        self.0.borrow_mut().handle_datagram(out, wire_size, header)
+    }
+
+    fn on_timer(&mut self, out: &mut Outbox, token: u64) {
+        self.0.borrow_mut().on_timer(out, token)
+    }
+}
+
+/// Counts the feedback packets it is shown.
+#[derive(Default)]
+struct FeedbackCount(u64);
+
+impl TraceSink for FeedbackCount {
+    fn emit(&mut self, ev: &TraceEvent) {
+        if let TraceEventKind::PktSent {
+            kind: PktKind::Feedback,
+            ..
+        } = ev.kind
+        {
+            self.0 += 1;
+        }
+    }
+}
+
+#[test]
+fn counters_agree_with_independent_counts() {
+    // Counters derived from events must match what the endpoints count
+    // on their own: new data = data sent minus retransmissions, and every
+    // feedback packet the counter saw is one a sink saw.
+    for (profile, seed, reliable) in [
+        (Profile::qtp_af(Rate::from_mbps(1)), 12, true),
+        (Profile::qtp_light(), 13, false),
+    ] {
+        let (mut sim, s, r) = two_hosts(
+            Rate::from_mbps(5),
+            Duration::from_millis(20),
+            LossModel::bernoulli(0.03),
+            QueueConfig::DropTailPkts(100),
+            seed,
+        );
+        let plan = ConnectionPlan::new(profile);
+        let data = sim.register_flow("x");
+        let fb = sim.register_flow("x-fb");
+        let tx = Rc::new(RefCell::new(Session::sender(data, r, &plan)));
+        let rx = Session::receiver(data, fb, s, &plan);
+        let (tx_tracer, rx_tracer) = (tx.borrow().tracer(), rx.tracer());
+        let sink = Rc::new(RefCell::new(FeedbackCount::default()));
+        rx_tracer.attach_sink(sink.clone());
+        sim.attach_agent(s, Box::new(SimAgent::new(Shared(tx.clone()))));
+        sim.attach_agent(r, Box::new(SimAgent::new(rx)));
+        sim.run_until(SimTime::from_secs(10));
+
+        let c = tx_tracer.counters();
+        assert_eq!(
+            c.retransmits > 0,
+            reliable,
+            "only the reliable plan retransmits"
+        );
+        assert_eq!(c.data_tx - c.retransmits, tx.borrow().sent_new());
+        let rx_c = rx_tracer.counters();
+        assert!(rx_c.feedback_tx > 0);
+        assert_eq!(rx_c.feedback_tx, sink.borrow().0);
+    }
+}
+
+#[test]
+fn data_before_the_handshake_is_received_but_not_processed() {
+    let plan = ConnectionPlan::new(Profile::qtp_light());
+    let mut rx = Session::receiver(0, 1, 0, &plan);
+    let header = QtpPacket::Data {
+        seq: 0,
+        ts_nanos: 0,
+        adu_ts_nanos: 0,
+        rtt_hint_micros: 0,
+        is_retx: false,
+    }
+    .encode();
+    let mut out = Outbox::new();
+    rx.handle_datagram(&mut out, header.len() as u32 + 1020, &header);
+    let c = rx.tracer().counters();
+    assert_eq!(c.pkts_rx, 1, "the datagram was accepted from the wire");
+    assert_eq!((c.data_rx, c.ops), (0, 0), "but dropped unprocessed");
 }

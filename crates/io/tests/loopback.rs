@@ -6,7 +6,7 @@
 
 use qtp_core::session::{attach_pair, ConnectionPlan, Profile};
 use qtp_core::{
-    CapabilitySet, Probe, QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, ServerPolicy,
+    CapabilitySet, QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, ServerPolicy,
 };
 use qtp_io::{drive_mux_pair, Accepted, ConnId, MuxDriver};
 use qtp_simnet::prelude::*;
@@ -48,13 +48,13 @@ fn run_loopback(cfg: QtpSenderConfig, done_needs_acks: bool) -> Loopback {
     let mut rx: MuxDriver<QtpReceiver> = MuxDriver::bind("127.0.0.1:0").expect("bind receiver");
     rx.set_acceptor(|_, frame| {
         (frame.flow == 0).then(|| Accepted {
-            endpoint: QtpReceiver::new(0, 1, 0, QtpReceiverConfig::default(), Probe::new()),
+            endpoint: QtpReceiver::new(0, 1, 0, QtpReceiverConfig::default()),
             flows: vec![0, 1],
         })
     });
     let mut tx: MuxDriver<QtpSender> = MuxDriver::bind("127.0.0.1:0").expect("bind sender");
     let peer = rx.local_addr().expect("local addr");
-    let sender = QtpSender::new(0, 1, cfg, Probe::new());
+    let sender = QtpSender::new(0, 1, cfg);
     let tx_id = tx
         .add_connection(peer, vec![0, 1], sender)
         .expect("register sender");

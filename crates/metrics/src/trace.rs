@@ -1,14 +1,28 @@
 //! # Structured event tracing and per-connection counters
 //!
-//! The observability plane for the whole stack: endpoints (sender,
-//! receiver, session, mux driver) emit typed, `Copy` [`TraceEvent`]
-//! records through a cheap cloneable [`Tracer`] handle. Two consumers
-//! hang off every event:
+//! The observability plane for the whole stack, and its only event
+//! vocabulary. Two kinds of producer emit typed, `Copy` [`TraceEvent`]
+//! records:
+//!
+//! * **endpoints** (sender, receiver, session, mux driver) emit through
+//!   a cheap cloneable per-connection [`Tracer`]: connection state,
+//!   packets sent/received, TTL drops and abandonments, rate updates,
+//!   loss events, controller snapshots, timers, stream edges and soft
+//!   errors;
+//! * **the simulator's network** emits `QueueEnqueue` and `QueueDrop`
+//!   (link, flow, queue length or drop reason) straight into the sink
+//!   installed with `Simulator::set_trace`, under the reserved
+//!   connection id [`NETWORK_CONN`], so one qlog shows queue build-up
+//!   next to the rate updates it causes.
+//!
+//! Two consumers hang off every endpoint event:
 //!
 //! * a per-connection [`CounterSet`] — always on, updated on every
 //!   `emit`, and the **single source of truth** for report numbers
-//!   (packets/bytes tx+rx, retransmits, TTL drops, loss events, timer
-//!   fires). Snapshotting is a struct copy.
+//!   (packets/bytes tx+rx, retransmits, TTL drops, lost packets, timer
+//!   fires). Endpoint-internal values no event carries (processing
+//!   cost, peak state, RTT, latency sums) are written into the same
+//!   bank with [`Tracer::record`]. Snapshotting is a struct copy.
 //! * an optional [`TraceSink`] — the event stream itself. Sinks are
 //!   attached per run (never in steady-state hot paths) and forwarding
 //!   compiles out entirely when the `trace` cargo feature is disabled;
@@ -28,6 +42,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use std::time::Duration;
 
 /// Wire-level packet kind, shared by send/receive/drop events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,7 +208,32 @@ pub enum TraceEventKind {
     /// Non-fatal driver-level error (e.g. a transient socket error
     /// attributed to one side of a pair).
     SoftError,
+    /// Network (simulator): a packet entered a link queue. Emitted under
+    /// [`NETWORK_CONN`].
+    QueueEnqueue {
+        /// Simulator link id.
+        link: u32,
+        /// Simulator flow id of the packet.
+        flow: u32,
+        /// Queue length in packets after the enqueue.
+        queue_len: u32,
+    },
+    /// Network (simulator): a packet was dropped at a link. Emitted under
+    /// [`NETWORK_CONN`].
+    QueueDrop {
+        /// Simulator link id.
+        link: u32,
+        /// Simulator flow id of the packet.
+        flow: u32,
+        /// The simulator's drop-reason code: 0 = queue full (tail drop),
+        /// 1 = RED/RIO early drop, 2 = RED/RIO forced drop, 3 = link loss.
+        reason: u8,
+    },
 }
+
+/// Connection id of the simulator's network events. A [`TraceRegistry`]
+/// numbers connections from 0, so it never hands this id out.
+pub const NETWORK_CONN: u32 = u32::MAX;
 
 impl TraceEventKind {
     /// Stable snake_case event name used by the qlog writer and dumps.
@@ -216,6 +256,8 @@ impl TraceEventKind {
             TraceEventKind::StreamWritable => "stream_writable",
             TraceEventKind::StreamFin => "stream_fin",
             TraceEventKind::SoftError => "soft_error",
+            TraceEventKind::QueueEnqueue { .. } => "queue_enqueue",
+            TraceEventKind::QueueDrop { .. } => "queue_drop",
         }
     }
 }
@@ -251,7 +293,11 @@ pub trait TraceSink {
 }
 
 /// Per-connection counters, updated on every [`Tracer::emit`] whether
-/// or not a sink is attached. Snapshot by copy.
+/// or not a sink is attached, plus the endpoint values written with
+/// [`Tracer::record`]. Snapshot by copy.
+///
+/// [`CounterSet::merge`] folds connections together: every field is
+/// summed unless its doc states another rule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CounterSet {
     /// Packets handed to the wire.
@@ -262,13 +308,19 @@ pub struct CounterSet {
     pub pkts_rx: u64,
     /// Bytes accepted from the wire.
     pub bytes_rx: u64,
-    /// Retransmitted data packets (subset of `pkts_tx`).
+    /// Data packets handed to the wire, retransmissions included (subset
+    /// of `pkts_tx`).
+    pub data_tx: u64,
+    /// Feedback packets handed to the wire (subset of `pkts_tx`).
+    pub feedback_tx: u64,
+    /// Retransmitted data packets (subset of `data_tx`).
     pub retransmits: u64,
     /// Receiver-side TTL drops of stale retransmissions.
     pub ttl_drops: u64,
     /// Sender-side TTL abandonments (never (re)sent).
     pub abandoned: u64,
-    /// Loss events (grouped, TFRC semantics).
+    /// Packets declared lost: the sum of `LossEvent.pkts`. This is not
+    /// the TFRC loss-event count, which groups the losses of one RTT.
     pub loss_events: u64,
     /// Congestion-controller rate updates.
     pub rate_updates: u64,
@@ -285,7 +337,29 @@ pub struct CounterSet {
     /// Controller phase transitions (BBR-lite).
     pub cc_phase_changes: u64,
     /// Time BBR-lite first left startup, microseconds (0 = never did).
+    /// Merge: the earliest nonzero value.
     pub bbr_startup_exit_us: u64,
+    /// Recorded (receiver): data packets processed after the handshake.
+    /// Data that arrives before negotiation is counted in `pkts_rx` but
+    /// dropped unprocessed, so this is recorded rather than derived.
+    pub data_rx: u64,
+    /// Recorded: processing operations so far — the receiver's loss
+    /// detection, history, reassembly and feedback building, or the
+    /// sender's controller, estimator and scoreboard.
+    pub ops: u64,
+    /// Recorded (receiver): peak bytes of protocol state. Merge: max.
+    pub state_bytes_peak: u64,
+    /// Recorded (sender): the controller's smoothed RTT at the latest
+    /// feedback, nanoseconds (0 = no estimate). Merge: max.
+    pub srtt_ns: u64,
+    /// Recorded (sender): the sum of `⌊p · 10⁹⌋` over the loss-event
+    /// rates `p` the rate computation used, one per rate update.
+    pub p_sum_ppb: u64,
+    /// Recorded (receiver): the sum of ADU-submit-to-delivery latencies,
+    /// nanoseconds.
+    pub latency_sum_ns: u64,
+    /// Recorded (receiver): deliveries contributing to `latency_sum_ns`.
+    pub latency_samples: u64,
 }
 
 impl CounterSet {
@@ -293,9 +367,16 @@ impl CounterSet {
     #[inline]
     pub fn apply(&mut self, kind: &TraceEventKind) {
         match kind {
-            TraceEventKind::PktSent { bytes, retx, .. } => {
+            TraceEventKind::PktSent {
+                kind, bytes, retx, ..
+            } => {
                 self.pkts_tx += 1;
                 self.bytes_tx += u64::from(*bytes);
+                match kind {
+                    PktKind::Data => self.data_tx += 1,
+                    PktKind::Feedback => self.feedback_tx += 1,
+                    _ => {}
+                }
                 if *retx {
                     self.retransmits += 1;
                 }
@@ -325,34 +406,104 @@ impl CounterSet {
             TraceEventKind::State(_)
             | TraceEventKind::StreamReadable
             | TraceEventKind::StreamWritable
-            | TraceEventKind::StreamFin => {}
+            | TraceEventKind::StreamFin
+            | TraceEventKind::QueueEnqueue { .. }
+            | TraceEventKind::QueueDrop { .. } => {}
         }
     }
 
-    /// Add another counter set into this one (mux/driver aggregation).
+    /// Fold another connection's counters into this one (mux/driver
+    /// aggregation). Each field follows the rule in its doc: summed
+    /// unless stated otherwise.
     pub fn merge(&mut self, other: &CounterSet) {
-        self.pkts_tx += other.pkts_tx;
-        self.bytes_tx += other.bytes_tx;
-        self.pkts_rx += other.pkts_rx;
-        self.bytes_rx += other.bytes_rx;
-        self.retransmits += other.retransmits;
-        self.ttl_drops += other.ttl_drops;
-        self.abandoned += other.abandoned;
-        self.loss_events += other.loss_events;
-        self.rate_updates += other.rate_updates;
-        self.timers_set += other.timers_set;
-        self.timer_fires += other.timer_fires;
-        self.timers_cancelled += other.timers_cancelled;
-        self.soft_errors += other.soft_errors;
-        self.cc_state_updates += other.cc_state_updates;
-        self.cc_phase_changes += other.cc_phase_changes;
-        // Earliest nonzero startup exit wins across merged connections.
-        if other.bbr_startup_exit_us != 0
-            && (self.bbr_startup_exit_us == 0
-                || other.bbr_startup_exit_us < self.bbr_startup_exit_us)
+        // No `..`: a field added to the struct but not merged here is a
+        // compile error.
+        let CounterSet {
+            pkts_tx,
+            bytes_tx,
+            pkts_rx,
+            bytes_rx,
+            data_tx,
+            feedback_tx,
+            retransmits,
+            ttl_drops,
+            abandoned,
+            loss_events,
+            rate_updates,
+            timers_set,
+            timer_fires,
+            timers_cancelled,
+            soft_errors,
+            cc_state_updates,
+            cc_phase_changes,
+            bbr_startup_exit_us,
+            data_rx,
+            ops,
+            state_bytes_peak,
+            srtt_ns,
+            p_sum_ppb,
+            latency_sum_ns,
+            latency_samples,
+        } = *other;
+        self.pkts_tx += pkts_tx;
+        self.bytes_tx += bytes_tx;
+        self.pkts_rx += pkts_rx;
+        self.bytes_rx += bytes_rx;
+        self.data_tx += data_tx;
+        self.feedback_tx += feedback_tx;
+        self.retransmits += retransmits;
+        self.ttl_drops += ttl_drops;
+        self.abandoned += abandoned;
+        self.loss_events += loss_events;
+        self.rate_updates += rate_updates;
+        self.timers_set += timers_set;
+        self.timer_fires += timer_fires;
+        self.timers_cancelled += timers_cancelled;
+        self.soft_errors += soft_errors;
+        self.cc_state_updates += cc_state_updates;
+        self.cc_phase_changes += cc_phase_changes;
+        if bbr_startup_exit_us != 0
+            && (self.bbr_startup_exit_us == 0 || bbr_startup_exit_us < self.bbr_startup_exit_us)
         {
-            self.bbr_startup_exit_us = other.bbr_startup_exit_us;
+            self.bbr_startup_exit_us = bbr_startup_exit_us;
         }
+        self.data_rx += data_rx;
+        self.ops += ops;
+        self.state_bytes_peak = self.state_bytes_peak.max(state_bytes_peak);
+        self.srtt_ns = self.srtt_ns.max(srtt_ns);
+        self.p_sum_ppb += p_sum_ppb;
+        self.latency_sum_ns += latency_sum_ns;
+        self.latency_samples += latency_samples;
+    }
+
+    /// Processing operations per data packet received — the E5
+    /// receiver-load figure (0 before any data).
+    pub fn ops_per_pkt(&self) -> f64 {
+        mean(self.ops as f64, self.data_rx)
+    }
+
+    /// Mean loss-event rate over the rate updates (0 before any).
+    pub fn mean_p(&self) -> f64 {
+        mean(self.p_sum_ppb as f64 / 1e9, self.rate_updates)
+    }
+
+    /// Mean ADU-to-delivery latency, seconds (0 before any delivery).
+    pub fn mean_latency_s(&self) -> f64 {
+        mean(self.latency_sum_ns as f64 / 1e9, self.latency_samples)
+    }
+
+    /// The recorded smoothed RTT.
+    pub fn srtt(&self) -> Duration {
+        Duration::from_nanos(self.srtt_ns)
+    }
+}
+
+/// `sum / n`, or 0 when there are no samples.
+fn mean(sum: f64, n: u64) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
     }
 }
 
@@ -434,6 +585,14 @@ impl Tracer {
         let _ = t_nanos;
     }
 
+    /// Write endpoint-internal values (processing cost, peak state, RTT,
+    /// latency sums) into the counter bank. Emits no event and never
+    /// reaches a sink, so it works with the `trace` feature off.
+    #[inline]
+    pub fn record(&self, f: impl FnOnce(&mut CounterSet)) {
+        f(&mut self.inner.borrow_mut().counters);
+    }
+
     /// Snapshot the counters (struct copy).
     pub fn counters(&self) -> CounterSet {
         self.inner.borrow().counters
@@ -443,11 +602,6 @@ impl Tracer {
     /// clone of this tracer.
     pub fn attach_sink(&self, sink: Rc<RefCell<dyn TraceSink>>) {
         self.inner.borrow_mut().sink = Some(sink);
-    }
-
-    /// Detach the sink; counters keep accumulating.
-    pub fn detach_sink(&self) {
-        self.inner.borrow_mut().sink = None;
     }
 }
 
@@ -716,6 +870,14 @@ impl QlogWriter {
             | TraceEventKind::StreamWritable
             | TraceEventKind::StreamFin
             | TraceEventKind::SoftError => "{}".to_string(),
+            TraceEventKind::QueueEnqueue {
+                link,
+                flow,
+                queue_len,
+            } => format!("{{\"link\":{link},\"flow\":{flow},\"queue_len\":{queue_len}}}"),
+            TraceEventKind::QueueDrop { link, flow, reason } => {
+                format!("{{\"link\":{link},\"flow\":{flow},\"reason\":{reason}}}")
+            }
         }
     }
 }
@@ -794,12 +956,32 @@ mod tests {
                 bytes: 40,
             },
         );
+        tr.emit(
+            2,
+            TraceEventKind::PktSent {
+                kind: PktKind::Feedback,
+                seq: 0,
+                bytes: 40,
+                retx: false,
+            },
+        );
         tr.emit(3, TraceEventKind::PktDropped { seq: 5, age_us: 99 });
         tr.emit(4, TraceEventKind::LossEvent { pkts: 3 });
         tr.emit(5, TraceEventKind::SoftError);
+        // Network kinds carry no per-connection counts.
+        tr.emit(
+            6,
+            TraceEventKind::QueueDrop {
+                link: 0,
+                flow: 0,
+                reason: 3,
+            },
+        );
         let c = tr.counters();
-        assert_eq!(c.pkts_tx, 2);
-        assert_eq!(c.bytes_tx, 2000);
+        assert_eq!(c.pkts_tx, 3);
+        assert_eq!(c.bytes_tx, 2040);
+        assert_eq!(c.data_tx, 2);
+        assert_eq!(c.feedback_tx, 1);
         assert_eq!(c.retransmits, 1);
         assert_eq!(c.pkts_rx, 1);
         assert_eq!(c.bytes_rx, 40);
@@ -807,6 +989,28 @@ mod tests {
         assert_eq!(c.loss_events, 3);
         assert_eq!(c.soft_errors, 1);
         assert_eq!(tr.conn(), 7);
+    }
+
+    #[test]
+    fn record_writes_counters_without_reaching_the_sink() {
+        let tr = Tracer::new(0);
+        let rec = Rc::new(RefCell::new(FlightRecorder::new(4)));
+        tr.attach_sink(rec.clone());
+        tr.record(|c| {
+            c.ops += 7;
+            c.srtt_ns = 40_000_123;
+        });
+        let c = tr.counters();
+        assert_eq!((c.ops, c.pkts_tx), (7, 0));
+        assert_eq!(c.srtt().as_secs_f64(), 0.040000123);
+        assert!(rec.borrow().conns().is_empty(), "record emits no event");
+    }
+
+    #[test]
+    fn event_records_stay_small() {
+        // Sinks copy whole events; growing them costs every consumer.
+        assert_eq!(std::mem::size_of::<TraceEventKind>(), 24);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
     }
 
     #[test]
@@ -896,8 +1100,26 @@ mod tests {
             },
         ));
         w.emit(&ev(0, TraceEventKind::State(ConnState::Connected)));
+        w.emit(&TraceEvent {
+            conn: NETWORK_CONN,
+            t_nanos: 5,
+            kind: TraceEventKind::QueueEnqueue {
+                link: 2,
+                flow: 7,
+                queue_len: 12,
+            },
+        });
+        w.emit(&TraceEvent {
+            conn: NETWORK_CONN,
+            t_nanos: 6,
+            kind: TraceEventKind::QueueDrop {
+                link: 2,
+                flow: 7,
+                reason: 1,
+            },
+        });
         let lines: Vec<&str> = w.output().lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 4);
         assert_eq!(
             lines[0],
             "{\"time\":\"0.012345678\",\"conn\":0,\"name\":\"rate_update\",\"data\":{\"rate_bps\":4000000,\"p_ppm\":250,\"rtt_us\":40000}}"
@@ -905,6 +1127,14 @@ mod tests {
         assert_eq!(
             lines[1],
             "{\"time\":\"0.000000000\",\"conn\":0,\"name\":\"conn_state\",\"data\":{\"state\":\"connected\"}}"
+        );
+        assert_eq!(
+            lines[2],
+            "{\"time\":\"0.000000005\",\"conn\":4294967295,\"name\":\"queue_enqueue\",\"data\":{\"link\":2,\"flow\":7,\"queue_len\":12}}"
+        );
+        assert_eq!(
+            lines[3],
+            "{\"time\":\"0.000000006\",\"conn\":4294967295,\"name\":\"queue_drop\",\"data\":{\"link\":2,\"flow\":7,\"reason\":1}}"
         );
     }
 
@@ -923,17 +1153,63 @@ mod tests {
         let mut a = CounterSet {
             pkts_tx: 1,
             soft_errors: 2,
+            data_tx: 5,
+            ops: 10,
+            state_bytes_peak: 300,
+            srtt_ns: 9,
+            p_sum_ppb: 500_000_000,
+            rate_updates: 1,
+            latency_sum_ns: 1_000,
+            latency_samples: 1,
             ..CounterSet::default()
         };
+        assert_eq!(a.ops_per_pkt(), 0.0, "no data received yet");
         let b = CounterSet {
             pkts_tx: 3,
             ttl_drops: 4,
+            data_tx: 1,
+            feedback_tx: 2,
+            data_rx: 6,
+            ops: 5,
+            state_bytes_peak: 200,
+            srtt_ns: 20,
+            p_sum_ppb: 250_000_000,
+            rate_updates: 2,
+            latency_sum_ns: 3_000,
+            latency_samples: 3,
             ..CounterSet::default()
         };
         a.merge(&b);
         assert_eq!(a.pkts_tx, 4);
         assert_eq!(a.ttl_drops, 4);
         assert_eq!(a.soft_errors, 2);
+        assert_eq!((a.data_tx, a.feedback_tx, a.data_rx), (6, 2, 6));
+        assert_eq!(a.ops, 15);
+        assert_eq!(a.state_bytes_peak, 300, "peak state takes the max");
+        assert_eq!(a.srtt_ns, 20, "srtt takes the max");
+        assert_eq!((a.p_sum_ppb, a.mean_p()), (750_000_000, 0.25));
+        assert_eq!((a.latency_sum_ns, a.latency_samples), (4_000, 4));
+        assert_eq!((a.ops_per_pkt(), a.mean_latency_s()), (2.5, 1e-6));
+    }
+
+    #[test]
+    fn derived_means_guard_empty_counts() {
+        let c = CounterSet {
+            data_rx: 4,
+            ops: 40,
+            p_sum_ppb: 500_000_000,
+            rate_updates: 2,
+            latency_sum_ns: 2_000_000_000,
+            latency_samples: 4,
+            ..CounterSet::default()
+        };
+        assert_eq!(c.ops_per_pkt(), 10.0);
+        assert_eq!(c.mean_p(), 0.25);
+        assert_eq!(c.mean_latency_s(), 0.5);
+        let empty = CounterSet::default();
+        assert_eq!(empty.ops_per_pkt(), 0.0);
+        assert_eq!(empty.mean_p(), 0.0);
+        assert_eq!(empty.mean_latency_s(), 0.0);
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! * **Measurement**: per-flow counters and throughput series, per-link
 //!   drop breakdowns by cause and DiffServ color, fairness and smoothness
 //!   summary statistics.
+//! * **Tracing**: with a `qtp_metrics::trace` sink installed
+//!   ([`sim::Simulator::set_trace`]), every queue admission and drop is
+//!   reported as a `QueueEnqueue` / `QueueDrop` event in the same
+//!   vocabulary the transport endpoints emit.
 //!
 //! ## Quick example
 //!
@@ -55,7 +59,6 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 /// One-stop imports for simulation drivers.
 pub mod prelude {
@@ -75,5 +78,4 @@ pub mod prelude {
     pub use crate::topology::{
         Dumbbell, DumbbellConfig, Handover, HandoverConfig, LongFatPipe, LongFatPipeConfig,
     };
-    pub use crate::trace::TraceEvent;
 }

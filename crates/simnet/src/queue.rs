@@ -21,18 +21,20 @@ use crate::packet::{Color, QueuedPacket};
 use crate::rng::DetRng;
 use crate::time::SimTime;
 
-/// Why a queue refused a packet.
+/// Why a queue refused a packet. The discriminant is the `reason` code
+/// of a traced `QueueDrop` event (`reason as u8`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum DropReason {
     /// Hard limit reached (tail drop).
-    QueueFull,
+    QueueFull = 0,
     /// RED/RIO probabilistic early drop.
-    EarlyDrop,
+    EarlyDrop = 1,
     /// RED/RIO forced drop (average beyond hard threshold).
-    ForcedDrop,
+    ForcedDrop = 2,
     /// Lost by the link's loss model (never produced by queues; shares the
     /// enum so statistics can aggregate every loss cause).
-    LinkLoss,
+    LinkLoss = 3,
 }
 
 /// Result of an enqueue attempt: the packet comes back on rejection so the

@@ -39,7 +39,11 @@
 //! it as `qtp_core::driver::TimerGens`, which encodes `kind | (gen << 2)`
 //! tokens and rejects superseded generations).
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
+
+use qtp_metrics::trace::{TraceEvent, TraceEventKind, TraceSink, NETWORK_CONN};
 
 use crate::arena::{PacketArena, PacketId};
 use crate::calendar::CalendarQueue;
@@ -49,7 +53,6 @@ use crate::queue::DropReason;
 use crate::rng::DetRng;
 use crate::stats::Stats;
 use crate::time::SimTime;
-use crate::trace::{TraceEvent, TraceSink};
 
 /// What a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -456,7 +459,7 @@ pub struct Simulator {
     node_rngs: Vec<DetRng>,
     stats: Stats,
     uid_counter: u64,
-    trace: Option<TraceSink>,
+    trace: Option<Rc<RefCell<dyn TraceSink>>>,
     sample_interval: Option<Duration>,
     started: bool,
 }
@@ -515,8 +518,11 @@ impl Simulator {
         self.stats.sample_interval = Some(interval);
     }
 
-    /// Install a trace sink receiving every packet event.
-    pub fn set_trace(&mut self, sink: TraceSink) {
+    /// Install a trace sink receiving every queue admission
+    /// (`QueueEnqueue`) and drop (`QueueDrop`), under
+    /// [`NETWORK_CONN`]. The same sink can also be attached to the
+    /// endpoints' tracers, interleaving both streams in time order.
+    pub fn set_trace(&mut self, sink: Rc<RefCell<dyn TraceSink>>) {
         self.trace = Some(sink);
     }
 
@@ -555,9 +561,13 @@ impl Simulator {
         self.events.push(at.as_nanos(), self.seq, kind);
     }
 
-    fn trace_emit(&mut self, ev: TraceEvent) {
-        if let Some(sink) = &mut self.trace {
-            sink(&ev);
+    fn trace_emit(&self, kind: TraceEventKind) {
+        if let Some(sink) = &self.trace {
+            sink.borrow_mut().emit(&TraceEvent {
+                conn: NETWORK_CONN,
+                t_nanos: self.now.as_nanos(),
+                kind,
+            });
         }
     }
 
@@ -597,13 +607,6 @@ impl Simulator {
     /// A source node hands a packet to the network.
     fn inject(&mut self, node: NodeId, pkt: Packet) {
         self.stats.on_send(&pkt);
-        self.trace_emit(TraceEvent::Send {
-            at: self.now,
-            node,
-            flow: pkt.flow,
-            uid: pkt.uid,
-            size: pkt.wire_size,
-        });
         let id = self.arena.alloc(pkt);
         self.forward(node, id);
     }
@@ -639,31 +642,25 @@ impl Simulator {
             wire_size: pkt.wire_size,
             color: pkt.color,
         };
-        let (flow, uid) = (pkt.flow, pkt.uid);
+        let flow = pkt.flow;
         match link.queue.enqueue(now, qp, &mut link.rng) {
             Err((dropped, reason)) => {
                 self.stats
                     .on_drop(link_id, self.arena.get(dropped.id), reason);
-                self.trace_emit(TraceEvent::Drop {
-                    at: now,
-                    link: link_id,
+                self.trace_emit(TraceEventKind::QueueDrop {
+                    link: link_id as u32,
                     flow,
-                    uid,
-                    color: dropped.color,
-                    reason,
+                    reason: reason as u8,
                 });
                 self.arena.release(dropped.id);
             }
             Ok(()) => {
                 let qlen = self.links[link_id].queue.len_pkts();
                 self.stats.on_enqueue(link_id, qp.color, qp.wire_size);
-                self.trace_emit(TraceEvent::Enqueue {
-                    at: now,
-                    link: link_id,
+                self.trace_emit(TraceEventKind::QueueEnqueue {
+                    link: link_id as u32,
                     flow,
-                    uid,
-                    color: qp.color,
-                    queue_len: qlen,
+                    queue_len: qlen as u32,
                 });
                 if !self.links[link_id].transmitting {
                     self.start_tx(link_id);
@@ -743,19 +740,13 @@ impl Simulator {
     /// Drop a packet that died in flight (loss model or corruption-as-
     /// erasure — both count as [`DropReason::LinkLoss`]).
     fn drop_in_flight(&mut self, link_id: LinkId, qp: QueuedPacket) {
-        let (flow, uid) = {
-            let pkt = self.arena.get(qp.id);
-            (pkt.flow, pkt.uid)
-        };
+        let flow = self.arena.get(qp.id).flow;
         self.stats
             .on_drop(link_id, self.arena.get(qp.id), DropReason::LinkLoss);
-        self.trace_emit(TraceEvent::Drop {
-            at: self.now,
-            link: link_id,
+        self.trace_emit(TraceEventKind::QueueDrop {
+            link: link_id as u32,
             flow,
-            uid,
-            color: qp.color,
-            reason: DropReason::LinkLoss,
+            reason: DropReason::LinkLoss as u8,
         });
         self.arena.release(qp.id);
     }
@@ -776,16 +767,6 @@ impl Simulator {
     /// the (disjoint) stats/rng fields.
     fn deliver(&mut self, node: NodeId, id: PacketId) {
         self.stats.on_arrive(self.now, self.arena.get(id));
-        let (flow, uid) = {
-            let pkt = self.arena.get(id);
-            (pkt.flow, pkt.uid)
-        };
-        self.trace_emit(TraceEvent::Deliver {
-            at: self.now,
-            node,
-            flow,
-            uid,
-        });
         let Some(mut agent) = self.agents[node].take() else {
             self.arena.release(id);
             return;

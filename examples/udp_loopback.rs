@@ -35,12 +35,13 @@ fn main() -> std::io::Result<()> {
     println!("\nnegotiated profile: {chosen:?}");
     println!(
         "retransmissions: {}; rtt estimate: {:.3} ms; feedback pkts: {}",
-        o.tx.tx_retransmissions,
-        o.tx.rtt_estimate_s * 1e3,
-        o.rx.rx_feedback_sent,
+        o.tx.retransmits,
+        o.tx.srtt().as_secs_f64() * 1e3,
+        o.rx.feedback_tx,
     );
     assert_eq!(o.delivered_bytes, PACKETS * PAYLOAD);
-    // Typed events replace probe-poking for the application-visible facts.
+    // Typed events carry the application-visible facts; the counters above
+    // are the measurement side.
     assert!(o
         .tx_events
         .iter()

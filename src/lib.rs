@@ -21,7 +21,7 @@
 //! | [`tcp`] | TCP NewReno / SACK baseline agents |
 //! | [`core`] | the composed QTP endpoints (sans-io, behind the `Endpoint` driver seam), wire formats, capability negotiation, and the **session layer** ([`core::session`]): fluent `Profile`s, `Session`s, the backend seam |
 //! | [`io`] | real-socket backend: UDP datagram framing, wall clock, the multi-flow connection mux (the one socket event loop), and the `UdpBackend`/`MuxBackend` bindings |
-//! | [`metrics`] | deterministic processing-cost accounting |
+//! | [`metrics`] | the one observability plane: processing-cost meters, and [`metrics::trace`]'s typed events, per-connection `CounterSet`s and sinks |
 //!
 //! ## Quickstart — send bytes, receive bytes
 //!
@@ -76,6 +76,11 @@
 //! (`on_start` / `handle_datagram` / `on_timer` in, [`core::Outbox`]
 //! commands out), reading typed events from [`core::SessionEvents`].
 //!
+//! Measurements come from one handle per endpoint: the `tx`/`rx`
+//! [`metrics::trace::Tracer`]s in [`core::PairHandles`] (or
+//! `Session::tracer`), whose `counters()` carry the wire counts and the
+//! recorded processing cost, peak state, RTT and latency.
+//!
 //! Synthetic workloads (greedy, finite, CBR) for experiments that only
 //! measure rates are described on the plan itself —
 //! [`core::session::ConnectionPlan::finite`] /
@@ -98,12 +103,14 @@ pub use qtp_tfrc as tfrc;
 pub mod app;
 pub mod scenarios;
 
-/// Everything a simulation driver typically needs.
+/// Everything a simulation driver typically needs. Measurements are read
+/// through the `tx`/`rx` tracers of a [`PairHandles`](qtp_core::PairHandles)
+/// (`counters()`).
 pub mod prelude {
     pub use qtp_core::stream::{RecvStream, SendStream, StreamConfig, StreamError};
     pub use qtp_core::{
         attach_pair, attach_pairs, Backend, CapabilitySet, CapsError, CcKind, ConnectionOutcome,
-        ConnectionPlan, FeedbackMode, PairHandles, Probe, Profile, ProfileBuilder, ProfileError,
+        ConnectionPlan, FeedbackMode, PairHandles, Profile, ProfileBuilder, ProfileError,
         QtpReceiver, QtpReceiverConfig, QtpSender, QtpSenderConfig, Reliability, ServerPolicy,
         Session, SessionEvent, SessionEvents, SimBackend, SimHost, SimTopology,
     };

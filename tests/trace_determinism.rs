@@ -1,17 +1,28 @@
 //! The strongest reproducibility check: two runs with the same seed emit
-//! **identical packet-event traces** (not just identical aggregate
-//! counters), including under stochastic loss and AQM. This is what makes
-//! every number in `EXPERIMENTS.md` exactly regenerable.
+//! **identical event traces** (not just identical aggregate counters),
+//! including under stochastic loss and AQM. The trace is the one
+//! observability plane: the simulator's queue events and the endpoints'
+//! wire, rate and timer events interleaved in a single sink. This is what
+//! makes every number in `EXPERIMENTS.md` exactly regenerable.
 
+use qtp::metrics::trace::{TraceEvent, TraceEventKind, TraceRegistry, TraceSink, NETWORK_CONN};
 use qtp::prelude::*;
-use qtp::simnet::trace::TraceEvent;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
+/// Keeps every event, in emission order.
+#[derive(Default)]
+struct Collect(Vec<TraceEvent>);
+
+impl TraceSink for Collect {
+    fn emit(&mut self, ev: &TraceEvent) {
+        self.0.push(*ev);
+    }
+}
+
 fn traced_run(seed: u64) -> Vec<TraceEvent> {
-    let events = Rc::new(RefCell::new(Vec::new()));
-    let sink = events.clone();
+    let sink = Rc::new(RefCell::new(Collect::default()));
 
     let cfg = DumbbellConfig {
         pairs: 2,
@@ -21,17 +32,21 @@ fn traced_run(seed: u64) -> Vec<TraceEvent> {
         ..DumbbellConfig::default()
     };
     let (mut sim, net) = Dumbbell::build(&cfg, seed);
-    sim.set_trace(Box::new(move |e| sink.borrow_mut().push(e.clone())));
+    sim.set_trace(sink.clone());
 
     // A QTPlight connection plus a Poisson background flow: exercises
     // endpoints, RED randomness and source randomness together.
-    let _h = attach_pair(
+    let h = attach_pair(
         &mut sim,
         net.senders[0],
         net.receivers[0],
         "qtp",
         &ConnectionPlan::new(Profile::qtp_light()),
     );
+    let registry = TraceRegistry::new();
+    registry.set_sink(sink.clone());
+    registry.register("qtp:tx", &h.tx);
+    registry.register("qtp:rx", &h.rx);
     let bg = sim.register_flow("bg");
     sim.attach_agent(
         net.senders[1],
@@ -45,17 +60,25 @@ fn traced_run(seed: u64) -> Vec<TraceEvent> {
     sim.attach_agent(net.receivers[1], Box::new(Sink));
     sim.run_until(SimTime::from_secs(5));
 
-    // The simulator still owns the sink closure (and its Rc clone); read
-    // the events out rather than unwrapping.
-    let out = events.borrow().clone();
-    out
+    // The simulator and the tracers still hold the sink; take the events.
+    let events = std::mem::take(&mut sink.borrow_mut().0);
+    events
 }
 
 #[test]
 fn same_seed_identical_event_trace() {
     let a = traced_run(2024);
     let b = traced_run(2024);
-    assert!(!a.is_empty(), "trace must capture events");
+    assert!(
+        a.iter()
+            .any(|e| matches!(e.kind, TraceEventKind::QueueEnqueue { .. })),
+        "trace must capture network events"
+    );
+    assert!(
+        a.iter()
+            .any(|e| e.conn != NETWORK_CONN && matches!(e.kind, TraceEventKind::RateUpdate { .. })),
+        "trace must capture endpoint events"
+    );
     assert_eq!(a.len(), b.len(), "event counts differ");
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         assert_eq!(x, y, "first divergence at event {i}");
@@ -74,6 +97,6 @@ fn different_seed_different_trace() {
 fn trace_events_are_time_ordered() {
     let trace = traced_run(7);
     for w in trace.windows(2) {
-        assert!(w[0].at() <= w[1].at(), "trace went backwards in time");
+        assert!(w[0].t_nanos <= w[1].t_nanos, "trace went backwards in time");
     }
 }
