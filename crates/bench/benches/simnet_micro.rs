@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the simulator substrate: event-loop throughput,
-//! AQM decisions, markers and loss models.
+//! the event scheduler, AQM decisions, markers and loss models.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qtp_simnet::marker::{Marker, TokenBucketMarker};
@@ -24,6 +24,36 @@ fn bench_sim_loop(c: &mut Criterion) {
             sim.attach_agent(net.receivers[0], Box::new(Sink));
             sim.run_until(SimTime::from_secs(1));
             sim.stats().flow(f).pkts_arrived
+        })
+    });
+}
+
+fn bench_calendar(c: &mut Criterion) {
+    // Hold model of the scheduler at ~10^4 flows: pop the next event and
+    // re-arm one relative to its time, ~50k live events, with bimodal
+    // delays (sub-millisecond pacing and transmission events, 1–3 s
+    // timers). The long timers dominate the live set, so it starts spread
+    // over their horizon: the measurement then sees the steady state
+    // instead of a start-up burst draining.
+    c.bench_function("simnet/calendar_hold", |b| {
+        let mut rng = DetRng::new(11);
+        let delay = |rng: &mut DetRng| {
+            if rng.chance(0.02) {
+                1_000_000_000 + rng.below(2_000_000_000)
+            } else {
+                10_000 + rng.below(990_000)
+            }
+        };
+        let mut q = CalendarQueue::new();
+        let mut seq = 0u64;
+        while seq < 50_000 {
+            q.push(rng.below(3_000_000_000), seq, seq);
+            seq += 1;
+        }
+        b.iter(|| {
+            let (at, ..) = q.pop().expect("hold keeps the queue full");
+            q.push(at + delay(&mut rng), seq, seq);
+            seq += 1;
         })
     });
 }
@@ -83,5 +113,11 @@ fn bench_marker_and_loss(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_sim_loop, bench_queues, bench_marker_and_loss);
+criterion_group!(
+    benches,
+    bench_sim_loop,
+    bench_calendar,
+    bench_queues,
+    bench_marker_and_loss
+);
 criterion_main!(benches);

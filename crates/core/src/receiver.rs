@@ -63,6 +63,15 @@ impl Default for QtpReceiverConfig {
 /// Timer token kinds.
 const TK_FB: u64 = 0;
 
+/// State that exists once the SYN is negotiated, so no feedback path can
+/// reach a loss report before the handshake.
+struct Connected {
+    chosen: CapabilitySet,
+    /// Full RFC 3448 receiver; present exactly when the negotiated
+    /// feedback mode is `ReceiverLoss`.
+    tfrc: Option<TfrcReceiver>,
+}
+
 /// The QTP receiver endpoint.
 pub struct QtpReceiver {
     /// Incoming data flow (goodput accounting).
@@ -71,9 +80,8 @@ pub struct QtpReceiver {
     fb_flow: FlowId,
     sender_node: NodeId,
     cfg: QtpReceiverConfig,
-    chosen: Option<CapabilitySet>,
-    /// Full RFC 3448 receiver (ReceiverLoss mode only).
-    tfrc_rx: Option<TfrcReceiver>,
+    /// `None` until the handshake.
+    connected: Option<Connected>,
     /// Reassembly / SACK state (always present: it is cheap, and even
     /// ReceiverLoss+None uses it for duplicate suppression).
     buf: ReceiverBuffer,
@@ -123,8 +131,7 @@ impl QtpReceiver {
             fb_flow,
             sender_node,
             cfg,
-            chosen: None,
-            tfrc_rx: None,
+            connected: None,
             buf: ReceiverBuffer::new(),
             pending_adu_ts: BTreeMap::new(),
             payload_bytes: 1000,
@@ -169,7 +176,7 @@ impl QtpReceiver {
 
     /// The negotiated profile (after the handshake).
     pub fn negotiated(&self) -> Option<CapabilitySet> {
-        self.chosen
+        self.connected.as_ref().map(|c| c.chosen)
     }
 
     /// Packets delivered to the application so far (in-order runs plus
@@ -195,25 +202,26 @@ impl QtpReceiver {
     }
 
     fn on_syn(&mut self, out: &mut Outbox, ts_nanos: u64, offered: CapabilitySet) {
-        let chosen = self
-            .chosen
-            .unwrap_or_else(|| self.cfg.policy.negotiate(offered));
-        if self.chosen.is_none() {
-            self.chosen = Some(chosen);
-            self.tracer.emit(
-                out.now.as_nanos(),
-                TraceEventKind::State(ConnState::Connected),
-            );
-            if chosen.feedback == FeedbackMode::ReceiverLoss {
-                self.tfrc_rx = Some(TfrcReceiver::new(self.payload_bytes, self.rtt_hint));
+        let chosen = match self.negotiated() {
+            Some(chosen) => chosen,
+            None => {
+                let chosen = self.cfg.policy.negotiate(offered);
+                let tfrc = (chosen.feedback == FeedbackMode::ReceiverLoss)
+                    .then(|| TfrcReceiver::new(self.payload_bytes, self.rtt_hint));
+                self.connected = Some(Connected { chosen, tfrc });
+                self.tracer.emit(
+                    out.now.as_nanos(),
+                    TraceEventKind::State(ConnState::Connected),
+                );
+                // Stream delivery mode follows the negotiated reliability: full
+                // reliability reassembles an ordered byte stream, everything
+                // else delivers one message per packet as they arrive.
+                if let Some(srx) = self.stream.as_mut() {
+                    srx.set_ordered(matches!(chosen.reliability, ReliabilityMode::Full));
+                }
+                chosen
             }
-            // Stream delivery mode follows the negotiated reliability: full
-            // reliability reassembles an ordered byte stream, everything
-            // else delivers one message per packet as they arrive.
-            if let Some(srx) = self.stream.as_mut() {
-                srx.set_ordered(matches!(chosen.reliability, ReliabilityMode::Full));
-            }
-        }
+        };
         let pkt = QtpPacket::SynAck {
             ts_echo_nanos: ts_nanos,
             chosen,
@@ -232,7 +240,7 @@ impl QtpReceiver {
     }
 
     fn reliability(&self) -> ReliabilityMode {
-        self.chosen
+        self.negotiated()
             .map(|c| c.reliability)
             .unwrap_or(ReliabilityMode::None)
     }
@@ -246,7 +254,7 @@ impl QtpReceiver {
         rtt_hint_micros: u32,
         payload: u32,
     ) {
-        let Some(chosen) = self.chosen else {
+        let Some(chosen) = self.negotiated() else {
             return; // data before handshake: drop
         };
         if payload > 0 {
@@ -275,7 +283,10 @@ impl QtpReceiver {
 
         // Heavy path: RFC 3448 receiver machinery.
         let mut loss_event_fb = false;
-        if let Some(tfrc) = self.tfrc_rx.as_mut() {
+        if let Some(Connected {
+            tfrc: Some(tfrc), ..
+        }) = &mut self.connected
+        {
             let action = tfrc.on_data(out.now, seq, sender_ts, self.rtt_hint, payload);
             loss_event_fb = action.feedback_now;
         }
@@ -325,7 +336,7 @@ impl QtpReceiver {
         ttl_micros: u32,
         payload: Vec<u8>,
     ) {
-        let Some(chosen) = self.chosen else {
+        let Some(chosen) = self.negotiated() else {
             return; // data before handshake: drop
         };
         if rtt_hint_micros > 0 {
@@ -348,7 +359,10 @@ impl QtpReceiver {
         self.highest_seen = Some(self.highest_seen.map_or(seq, |h| h.max(seq)));
 
         let mut loss_event_fb = false;
-        if let Some(tfrc) = self.tfrc_rx.as_mut() {
+        if let Some(Connected {
+            tfrc: Some(tfrc), ..
+        }) = &mut self.connected
+        {
             let action = tfrc.on_data(out.now, seq, sender_ts, self.rtt_hint, payload.len() as u32);
             loss_event_fb = action.feedback_now;
         }
@@ -437,8 +451,10 @@ impl QtpReceiver {
 
     /// One processed data packet: record the running cost and peak state.
     fn record_costs(&mut self) {
-        let tfrc_ops = self.tfrc_rx.as_ref().map(|t| t.total_ops()).unwrap_or(0);
-        let tfrc_state = self.tfrc_rx.as_ref().map(|t| t.state_bytes()).unwrap_or(0);
+        let (tfrc_ops, tfrc_state) = match &self.connected {
+            Some(Connected { tfrc: Some(t), .. }) => (t.total_ops(), t.state_bytes()),
+            _ => (0, 0),
+        };
         let ops = tfrc_ops + self.buf.meter.total() + self.own_ops;
         let state = (tfrc_state + self.buf.state_bytes()) as u64;
         self.tracer.record(|c| {
@@ -487,7 +503,6 @@ impl QtpReceiver {
     }
 
     fn send_feedback(&mut self, out: &mut Outbox) {
-        let Some(chosen) = self.chosen else { return };
         let Some((last_ts, last_rx_time)) = self.last_pkt else {
             return; // nothing received yet
         };
@@ -495,26 +510,22 @@ impl QtpReceiver {
         let t_delay = out.now.saturating_since(last_rx_time);
         let selfish = self.cfg.selfish_factor.max(1.0);
 
-        let (p_ppb, x_recv) = match chosen.feedback {
-            FeedbackMode::ReceiverLoss => {
-                let tfrc = self
-                    .tfrc_rx
-                    .as_mut()
-                    .expect("ReceiverLoss implies TFRC receiver");
-                // Build the RFC 3448 report (also rolls the x_recv round
-                // inside the TFRC receiver; we use our own counter for the
-                // wire value so both modes measure identically).
-                let fb = tfrc.build_feedback(out.now);
-                let p_honest = fb.map(|f| f.p).unwrap_or(0.0);
-                let p_reported = p_honest / selfish;
-                self.own_ops += 2;
-                (Some(p_to_ppb(p_reported)), x_recv_honest * selfish)
-            }
-            FeedbackMode::SenderLoss => {
-                self.own_ops += 2;
-                (None, x_recv_honest * selfish)
-            }
+        let Some(Connected { chosen, tfrc }) = &mut self.connected else {
+            return;
         };
+        let chosen = *chosen;
+        // ReceiverLoss reports the RFC 3448 loss event rate; SenderLoss has
+        // no loss report to send (or falsify).
+        let p_ppb = tfrc.as_mut().map(|tfrc| {
+            // Building the report also rolls the x_recv round inside the
+            // TFRC receiver; we use our own counter for the wire value so
+            // both modes measure identically.
+            let fb = tfrc.build_feedback(out.now);
+            let p_honest = fb.map(|f| f.p).unwrap_or(0.0);
+            p_to_ppb(p_honest / selfish)
+        });
+        let x_recv = x_recv_honest * selfish;
+        self.own_ops += 2;
 
         // SACK blocks only when someone consumes them (reliability at the
         // sender, or sender-side loss estimation).

@@ -11,6 +11,18 @@
 //! current day and only consults other buckets when the day is empty.
 //! Amortized O(1) per operation when event times are reasonably spread.
 //!
+//! # Memory
+//!
+//! Storage is proportional to the peak number of *live* events, not to
+//! the busiest day any bucket ever held. All buckets share one slab of
+//! entry slots; a bucket is a `u32` head index into a singly linked list
+//! threaded through the slots' `next` fields. A popped slot goes onto a
+//! LIFO free list and the next push reuses it, so a steady-state push does
+//! not allocate, and a resize relinks the slab in place. (One `Vec` per
+//! bucket would keep each bucket's historical peak capacity: with tens of
+//! thousands of buckets that waste dominated the simulator's per-flow
+//! memory.)
+//!
 //! # Determinism
 //!
 //! Pop order is **exactly** ascending `(time, seq)` — byte-identical to
@@ -26,6 +38,10 @@
 //!   the forward bucket scan. The simulator never does this (time is
 //!   monotone), but the structure stays correct for arbitrary inputs —
 //!   the drop-in proptest against a model heap exercises exactly this.
+//!
+//! The order of entries inside a bucket list never matters: only `near`
+//! and the fallback minimum scan decide what pops next, and both compare
+//! the full `(at, seq)` key.
 //!
 //! Bucket count and width adapt to the number of queued events: the
 //! calendar resizes (O(n), amortized) when the load factor leaves
@@ -63,6 +79,19 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// End of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A slab slot: a bucketed entry (`item` is `Some`) or a free slot.
+#[derive(Debug)]
+struct Slot<T> {
+    at: u64,
+    seq: u64,
+    /// Next slot in the same bucket list, or in the free list.
+    next: u32,
+    item: Option<T>,
+}
+
 /// Calendar-queue event scheduler. See the module docs for the design.
 ///
 /// Priorities are `(at, seq)` pairs popped in ascending order; `seq` is
@@ -71,9 +100,14 @@ impl<T> Ord for Entry<T> {
 /// no ambiguous ties for the bucket layout to leak through.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// Future events, bucketed by `(at / width) % nbuckets`.
-    buckets: Vec<Vec<Entry<T>>>,
-    /// Power-of-two bucket count.
+    /// Entry storage shared by every bucket.
+    slab: Vec<Slot<T>>,
+    /// Head of the free-slot list (LIFO).
+    free: u32,
+    /// First slot of each bucket's list; an event lives in bucket
+    /// `(at / width) % nbuckets`.
+    heads: Vec<u32>,
+    /// Power-of-two bucket count minus one.
     mask: usize,
     /// Day width in time units (≥ 1).
     width: u64,
@@ -96,7 +130,9 @@ impl<T> CalendarQueue<T> {
     /// An empty scheduler.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; MIN_BUCKETS],
             mask: MIN_BUCKETS - 1,
             width: 1,
             cur: 0,
@@ -118,17 +154,31 @@ impl<T> CalendarQueue<T> {
 
     /// Schedule `item` at priority `(at, seq)`.
     pub fn push(&mut self, at: u64, seq: u64, item: T) {
-        let e = Entry { at, seq, item };
         self.len += 1;
         if (at as u128) < self.day_end {
             // Due today (or pushed behind the current day): the forward
             // bucket scan must not be able to miss it.
-            self.near.push(Reverse(e));
+            self.near.push(Reverse(Entry { at, seq, item }));
         } else {
-            let b = ((at / self.width) as usize) & self.mask;
-            self.buckets[b].push(e);
+            let slot = Slot {
+                at,
+                seq,
+                next: NIL,
+                item: Some(item),
+            };
+            let i = if self.free == NIL {
+                assert!(self.slab.len() < NIL as usize, "slab indices fit in u32");
+                self.slab.push(slot);
+                self.slab.len() as u32 - 1
+            } else {
+                let i = self.free;
+                self.free = self.slab[i as usize].next;
+                self.slab[i as usize] = slot;
+                i
+            };
+            self.link(i);
         }
-        if self.len > 4 * self.buckets.len() {
+        if self.len > 4 * self.heads.len() {
             self.resize();
         }
     }
@@ -143,27 +193,60 @@ impl<T> CalendarQueue<T> {
         }
         let Reverse(e) = self.near.pop().expect("advance found an event");
         self.len -= 1;
-        if self.len < self.buckets.len() / 8 && self.buckets.len() > MIN_BUCKETS {
+        if self.len < self.heads.len() / 8 && self.heads.len() > MIN_BUCKETS {
             self.resize();
         }
         Some((e.at, e.seq, e.item))
     }
 
+    /// Prepend live slot `i` to the list of the bucket its time maps to.
+    fn link(&mut self, i: u32) {
+        let b = ((self.slab[i as usize].at / self.width) as usize) & self.mask;
+        self.slab[i as usize].next = self.heads[b];
+        self.heads[b] = i;
+    }
+
+    /// Move live slot `i`'s entry into `near` and put the slot on the free
+    /// list. The caller has already unlinked it from its bucket.
+    fn release_to_near(&mut self, i: u32) {
+        let slot = &mut self.slab[i as usize];
+        let item = slot.item.take().expect("linked slots are live");
+        self.near.push(Reverse(Entry {
+            at: slot.at,
+            seq: slot.seq,
+            item,
+        }));
+        slot.next = self.free;
+        self.free = i;
+    }
+
+    /// Move every entry of bucket `b` that is due before `day_end` into
+    /// `near`.
+    fn drain_due(&mut self, b: usize) {
+        let mut prev = NIL;
+        let mut i = self.heads[b];
+        while i != NIL {
+            let slot = &self.slab[i as usize];
+            let next = slot.next;
+            if (slot.at as u128) < self.day_end {
+                if prev == NIL {
+                    self.heads[b] = next;
+                } else {
+                    self.slab[prev as usize].next = next;
+                }
+                self.release_to_near(i);
+            } else {
+                prev = i;
+            }
+            i = next;
+        }
+    }
+
     /// Walk days forward until at least one due event lands in `near`.
     /// Caller guarantees the queue is non-empty and `near` is empty.
     fn advance_to_next_event(&mut self) {
-        for _ in 0..=self.buckets.len() {
-            // Move everything due in the current day into the near heap.
-            let day_end = self.day_end;
-            let bucket = &mut self.buckets[self.cur];
-            let mut i = 0;
-            while i < bucket.len() {
-                if (bucket[i].at as u128) < day_end {
-                    self.near.push(Reverse(bucket.swap_remove(i)));
-                } else {
-                    i += 1;
-                }
-            }
+        for _ in 0..=self.heads.len() {
+            self.drain_due(self.cur);
             if !self.near.is_empty() {
                 return;
             }
@@ -172,42 +255,28 @@ impl<T> CalendarQueue<T> {
         }
         // A whole year of empty days: every event is far away. Find the
         // global minimum directly and jump the calendar to its day.
-        let (b, at) = self
-            .buckets
+        let at = self
+            .slab
             .iter()
-            .enumerate()
-            .flat_map(|(b, v)| v.iter().map(move |e| (b, e)))
-            .min_by_key(|&(_, e)| (e.at, e.seq))
-            .map(|(b, e)| (b, e.at))
+            .filter(|s| s.item.is_some())
+            .min_by_key(|s| (s.at, s.seq))
+            .map(|s| s.at)
             .expect("queue is non-empty");
-        self.cur = b;
+        self.cur = ((at / self.width) as usize) & self.mask;
         self.day_end = (at as u128 / self.width as u128 + 1) * self.width as u128;
-        let day_end = self.day_end;
-        let bucket = &mut self.buckets[b];
-        let mut i = 0;
-        while i < bucket.len() {
-            if (bucket[i].at as u128) < day_end {
-                self.near.push(Reverse(bucket.swap_remove(i)));
-            } else {
-                i += 1;
-            }
-        }
+        self.drain_due(self.cur);
     }
 
     /// Rebuild the calendar for the current event count: bucket count
     /// tracks `len` and the day width tracks the mean spacing of queued
-    /// events, so a day holds O(1) events.
+    /// events, so a day holds O(1) events. The slab is relinked in place.
     fn resize(&mut self) {
         let target = (self.len.max(1)).next_power_of_two().max(MIN_BUCKETS);
-        let mut entries: Vec<Entry<T>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            entries.append(b);
-        }
         let floor = self.day_end.saturating_sub(self.width as u128) as u64;
         let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for e in &entries {
-            lo = lo.min(e.at);
-            hi = hi.max(e.at);
+        for s in self.slab.iter().filter(|s| s.item.is_some()) {
+            lo = lo.min(s.at);
+            hi = hi.max(s.at);
         }
         for Reverse(e) in self.near.iter() {
             lo = lo.min(e.at);
@@ -219,7 +288,7 @@ impl<T> CalendarQueue<T> {
         // the common near-term events still spread across buckets.
         self.width = (span / self.len.max(1) as u64).clamp(1, u64::MAX / (4 * target as u64));
         self.mask = target - 1;
-        self.buckets = (0..target).map(|_| Vec::new()).collect();
+        self.heads = vec![NIL; target];
         // Anchor the new calendar at the first new-width day boundary at or
         // after the old `day_end`. `day_end` must never move backwards: the
         // near heap holds everything earlier than the old `day_end`, and
@@ -229,12 +298,18 @@ impl<T> CalendarQueue<T> {
         let w = self.width as u128;
         self.day_end = self.day_end.div_ceil(w) * w;
         self.cur = ((self.day_end / w - 1) % (target as u128)) as usize;
-        for e in entries {
-            if (e.at as u128) < self.day_end {
-                self.near.push(Reverse(e));
+        // Relink every slot under the new geometry. Walking backwards
+        // leaves the lowest free index at the head of the free list.
+        self.free = NIL;
+        for i in (0..self.slab.len() as u32).rev() {
+            let slot = &mut self.slab[i as usize];
+            if slot.item.is_none() {
+                slot.next = self.free;
+                self.free = i;
+            } else if (slot.at as u128) < self.day_end {
+                self.release_to_near(i);
             } else {
-                let b = ((e.at / self.width) as usize) & self.mask;
-                self.buckets[b].push(e);
+                self.link(i);
             }
         }
     }
@@ -358,5 +433,45 @@ mod tests {
         let rest = drain(&mut q);
         assert_eq!(rest.len(), 500);
         assert!(rest.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// Hold workload (pop one event, push one replacement) with the bimodal
+    /// delays of a packet simulation: dense sub-millisecond pacing and
+    /// transmission events plus a tail of feedback/timeout timers seconds
+    /// out. Over many calendar years every bucket takes its turn at being
+    /// the dense one; the entry storage retained must still track the live
+    /// count, not what each bucket once held.
+    #[test]
+    fn storage_tracks_live_events_not_bucket_history() {
+        let live = 512u64;
+        let mut rng = crate::rng::DetRng::new(7);
+        let delay = |rng: &mut crate::rng::DetRng| {
+            if rng.chance(0.02) {
+                1_000_000_000 + rng.below(1_000_000_000)
+            } else {
+                10_000 + rng.below(990_000)
+            }
+        };
+        let mut q = CalendarQueue::new();
+        for seq in 0..live {
+            q.push(delay(&mut rng), seq, 0u32);
+        }
+        let (mut slab, mut near) = (0, 0);
+        let (mut last_cur, mut years) = (q.cur, 0);
+        for seq in live..live + 600_000 {
+            let (at, ..) = q.pop().expect("hold keeps the queue full");
+            q.push(at + delay(&mut rng), seq, 0);
+            slab = slab.max(q.slab.capacity() as u64);
+            near = near.max(q.near.capacity() as u64);
+            years += u64::from(q.cur < last_cur);
+            last_cur = q.cur;
+        }
+        assert!(years >= 5, "the run wraps the calendar ({years} years)");
+        assert!(
+            slab <= 2 * live,
+            "{slab} bucket slots for {live} live events"
+        );
+        assert!(near <= 2 * live, "{near} near slots for {live} live events");
+        assert_eq!(q.heads.len(), q.mask + 1, "one head per bucket");
     }
 }

@@ -22,7 +22,10 @@
 //!   delivery, drop, or routing failure.
 //! * The scheduler is a [`CalendarQueue`] — amortized O(1) push/pop instead
 //!   of an O(log n) global heap — popping in exactly the same `(time, seq)`
-//!   order, so fixed-seed outputs are byte-identical to the old heap.
+//!   order, so fixed-seed outputs are byte-identical to the old heap. Its
+//!   buckets share one slab of entry slots, so scheduler memory tracks the
+//!   peak number of pending events and a steady-state push allocates
+//!   nothing.
 //! * Routes use pendant compression: hosts that hang off a single router
 //!   (every host in a dumbbell) share their router's routing row, so route
 //!   construction and storage are near-linear in nodes + links instead of

@@ -119,35 +119,58 @@ proptest! {
     /// of equal timestamps (which must come back in insertion order, since
     /// `seq` increases monotonically), and far-future outliers that force
     /// the direct-scan day jump.
+    ///
+    /// In DES mode the workload looks like the simulator's: most ops pop
+    /// the next event and re-arm one relative to its time, with a tail of
+    /// timers seconds out, and the live count drifts upward. The clock then
+    /// runs through many calendar years (bucket lists mix due and later
+    /// entries, so unlinking happens mid-list) while the queue crosses
+    /// the resize thresholds (the slab is relinked under each new
+    /// geometry), and the final drain crosses them downwards.
     #[test]
     fn calendar_queue_is_a_drop_in_for_binary_heap(
-        ops in prop::collection::vec((0u32..13, 0u64..5_000_000), 1..600),
+        des in any::<bool>(),
+        ops in prop::collection::vec((0u32..13, 0u64..5_000_000), 1..3_000),
     ) {
         let mut cal = CalendarQueue::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
+        let mut now = 0u64;
         for (sel, raw) in ops {
-            // Weighted toward pushes so the queue grows through resize
-            // thresholds; timestamps mix three scales (same-tick bursts,
-            // short horizons, wide spreads) plus a far-future outlier, so
-            // bucket widths from 1 to millions all get exercised.
-            let at = match sel {
-                0..=2 => Some(raw % 50),
-                3..=5 => Some(raw % 5_000),
-                6..=7 => Some(raw),
-                8 => Some(u64::MAX - 1),
-                _ => None, // pop
+            // Arbitrary mode: sel 0..=8 pushes, 9..=12 pops. DES mode: sel
+            // 0, 4 and 8 push, 11 and 12 pop, everything else pops and then
+            // re-arms, so the live count drifts slowly upward.
+            let (pop, push) = if des {
+                (!matches!(sel, 0 | 4 | 8), sel < 11)
+            } else {
+                (sel > 8, sel <= 8)
             };
-            match at {
-                Some(at) => {
-                    seq += 1;
-                    cal.push(at, seq, seq);
-                    heap.push(Reverse((at, seq)));
+            if pop {
+                let want = heap.pop().map(|Reverse((at, s))| (at, s, s));
+                let got = cal.pop();
+                prop_assert_eq!(got, want);
+                if let Some((at, ..)) = got {
+                    now = at;
                 }
-                None => {
-                    let want = heap.pop().map(|Reverse((at, s))| (at, s, s));
-                    prop_assert_eq!(cal.pop(), want);
-                }
+            }
+            if push {
+                // Weighted toward pushes so the queue grows through resize
+                // thresholds; timestamps mix three scales (same-tick bursts,
+                // short horizons, wide spreads) plus a far-future outlier, so
+                // bucket widths from 1 to millions all get exercised. DES
+                // mode offsets them from the last popped time, and its
+                // outlier is a timer 1–3 s out.
+                let base = if des { now } else { 0 };
+                let at = match sel % 9 {
+                    0..=2 => base + raw % 50,
+                    3..=5 => base + raw % 5_000,
+                    6..=7 => base + raw,
+                    _ if des => now + 1_000_000_000 + raw * 400,
+                    _ => u64::MAX - 1,
+                };
+                seq += 1;
+                cal.push(at, seq, seq);
+                heap.push(Reverse((at, seq)));
             }
             prop_assert_eq!(cal.len(), heap.len());
         }
