@@ -35,7 +35,7 @@ use std::time::Duration;
 use crate::caps::{CapabilitySet, FeedbackMode, ServerPolicy};
 use crate::driver::{Endpoint, Outbox, TimerGens};
 use crate::stream::{RecvStream, StreamConfig, StreamRx};
-use crate::wire::{p_to_ppb, QtpPacket};
+use crate::wire::{p_to_ppb, QtpPacket, IP_OVERHEAD};
 
 /// Receiver configuration.
 #[derive(Debug, Clone)]
@@ -226,13 +226,20 @@ impl QtpReceiver {
             ts_echo_nanos: ts_nanos,
             chosen,
         };
-        let size = pkt.wire_size();
-        out.send_new(self.fb_flow, self.sender_node, size, pkt.encode());
+        self.send_control(out, pkt, PktKind::SynAck, 0);
+    }
+
+    /// Encodes and transmits a packet toward the sender, and traces it as
+    /// `kind` with `seq`.
+    fn send_control(&self, out: &mut Outbox, pkt: QtpPacket, kind: PktKind, seq: u64) {
+        let header = pkt.encode();
+        let size = header.len() as u32 + IP_OVERHEAD;
+        out.send_new(self.fb_flow, self.sender_node, size, header);
         self.tracer.emit(
             out.now.as_nanos(),
             TraceEventKind::PktSent {
-                kind: PktKind::SynAck,
-                seq: 0,
+                kind,
+                seq,
                 bytes: size,
                 retx: false,
             },
@@ -419,17 +426,7 @@ impl QtpReceiver {
     /// acked), then surface the finish once all deliverable data is in.
     fn on_fin(&mut self, out: &mut Outbox, final_seq: u64) {
         let pkt = QtpPacket::FinAck { final_seq };
-        let size = pkt.wire_size();
-        out.send_new(self.fb_flow, self.sender_node, size, pkt.encode());
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::FinAck,
-                seq: final_seq,
-                bytes: size,
-                retx: false,
-            },
-        );
+        self.send_control(out, pkt, PktKind::FinAck, final_seq);
         if !self.fin_seen {
             self.fin_seen = true;
             self.own_ops += 1;
@@ -545,17 +542,7 @@ impl QtpReceiver {
             cum_ack,
             blocks,
         };
-        let size = pkt.wire_size();
-        out.send_new(self.fb_flow, self.sender_node, size, pkt.encode());
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::Feedback,
-                seq: cum_ack,
-                bytes: size,
-                retx: false,
-            },
-        );
+        self.send_control(out, pkt, PktKind::Feedback, cum_ack);
         self.bytes_since_fb = 0;
         self.round_started = Some(out.now);
     }
@@ -609,7 +596,7 @@ impl Endpoint for QtpReceiver {
                         bytes: wire_size,
                     },
                 );
-                let payload = wire_size.saturating_sub(header_len + crate::wire::IP_OVERHEAD);
+                let payload = wire_size.saturating_sub(header_len + IP_OVERHEAD);
                 self.on_data(out, seq, ts_nanos, adu_ts_nanos, rtt_hint_micros, payload);
             }
             QtpPacket::Forward { new_cum } => {

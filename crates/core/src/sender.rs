@@ -157,7 +157,6 @@ pub struct QtpSender {
 }
 
 /// A sent stream chunk retained for retransmission.
-#[derive(Clone)]
 struct StreamChunk {
     bytes: Vec<u8>,
     adu_ts: SimTime,
@@ -286,6 +285,23 @@ impl QtpSender {
         );
     }
 
+    /// Encodes and transmits a payload-free control packet, and traces it
+    /// as `kind` with `seq`.
+    fn send_control(&self, out: &mut Outbox, pkt: QtpPacket, kind: PktKind, seq: u64) {
+        let header = pkt.encode();
+        let size = header.len() as u32 + IP_OVERHEAD;
+        out.send_new(self.flow, self.receiver_node, size, header);
+        self.tracer.emit(
+            out.now.as_nanos(),
+            TraceEventKind::PktSent {
+                kind,
+                seq,
+                bytes: size,
+                retx: false,
+            },
+        );
+    }
+
     // ---- handshake ----------------------------------------------------
 
     fn send_syn(&mut self, out: &mut Outbox) {
@@ -293,17 +309,7 @@ impl QtpSender {
             ts_nanos: out.now.as_nanos(),
             offered: self.cfg.offered,
         };
-        let size = pkt.wire_size();
-        out.send_new(self.flow, self.receiver_node, size, pkt.encode());
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::Syn,
-                seq: 0,
-                bytes: size,
-                retx: false,
-            },
-        );
+        self.send_control(out, pkt, PktKind::Syn, 0);
         self.arm(out, TK_SYN, out.now + Duration::from_secs(1));
     }
 
@@ -435,7 +441,15 @@ impl QtpSender {
         );
     }
 
-    fn send_stream_data(&mut self, out: &mut Outbox, seq: u64, chunk: &StreamChunk, is_retx: bool) {
+    /// Transmits `chunk`. Its bytes ride in the packet for the encode and
+    /// are handed back afterwards, so no copy is made for retention.
+    fn send_stream_data(
+        &mut self,
+        out: &mut Outbox,
+        seq: u64,
+        chunk: &mut StreamChunk,
+        is_retx: bool,
+    ) {
         let rtt_hint_micros = self.rtt().map(|r| r.as_micros() as u32).unwrap_or(0);
         let pkt = QtpPacket::StreamData {
             seq,
@@ -444,9 +458,12 @@ impl QtpSender {
             rtt_hint_micros,
             is_retx,
             ttl_micros: chunk.ttl_micros,
-            payload: chunk.bytes.clone(),
+            payload: std::mem::take(&mut chunk.bytes),
         };
         let header = pkt.encode();
+        if let QtpPacket::StreamData { payload, .. } = pkt {
+            chunk.bytes = payload;
+        }
         // The payload rides inside the header bytes; only IP overhead on top.
         let size = header.len() as u32 + IP_OVERHEAD;
         out.send_new(self.flow, self.receiver_node, size, header);
@@ -471,9 +488,10 @@ impl QtpSender {
             let retx_count = self.sb.retx_count(seq);
             let decision = self.policy.on_loss(seq, out.now, retx_count);
             if decision == qtp_sack::LossDecision::Retransmit {
-                if let Some(chunk) = self.chunks.get(&seq).cloned() {
+                if let Some(mut chunk) = self.chunks.remove(&seq) {
                     self.sb.register_retransmit(seq, out.now);
-                    self.send_stream_data(out, seq, &chunk, true);
+                    self.send_stream_data(out, seq, &mut chunk, true);
+                    self.chunks.insert(seq, chunk);
                     return;
                 }
             }
@@ -493,12 +511,12 @@ impl QtpSender {
             self.policy
                 .register_adu(SeqRange::new(seq, seq + 1), out.now);
         }
-        let chunk = StreamChunk {
+        let mut chunk = StreamChunk {
             bytes,
             adu_ts: out.now,
             ttl_micros,
         };
-        self.send_stream_data(out, seq, &chunk, false);
+        self.send_stream_data(out, seq, &mut chunk, false);
         if reliability.map(|r| r.retransmits()).unwrap_or(false) {
             self.chunks.insert(seq, chunk);
         }
@@ -554,17 +572,7 @@ impl QtpSender {
         }
         self.last_fwd = out.now;
         let pkt = QtpPacket::Forward { new_cum: fp };
-        let size = pkt.wire_size();
-        out.send_new(self.flow, self.receiver_node, size, pkt.encode());
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::Forward,
-                seq: fp,
-                bytes: size,
-                retx: false,
-            },
-        );
+        self.send_control(out, pkt, PktKind::Forward, fp);
     }
 
     fn on_pace(&mut self, out: &mut Outbox) {
@@ -641,17 +649,7 @@ impl QtpSender {
         self.fin_sent_at = Some(out.now);
         let final_seq = self.sb.next_seq();
         let pkt = QtpPacket::Fin { final_seq };
-        let size = pkt.wire_size();
-        out.send_new(self.flow, self.receiver_node, size, pkt.encode());
-        self.tracer.emit(
-            out.now.as_nanos(),
-            TraceEventKind::PktSent {
-                kind: PktKind::Fin,
-                seq: final_seq,
-                bytes: size,
-                retx: false,
-            },
-        );
+        self.send_control(out, pkt, PktKind::Fin, final_seq);
     }
 
     fn on_finack(&mut self, now_nanos: u64) {

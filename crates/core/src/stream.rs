@@ -16,6 +16,23 @@
 //! Handles are cheap clones of shared state (`Rc<RefCell<..>>`) so an
 //! application can keep them after moving the [`Session`] into a driver.
 //!
+//! **Copies.** Every copy a payload byte takes is one slice copy (memcpy),
+//! never a per-byte loop. Sending over a socket: `send` copies the message
+//! into the shared queue; chunked mode copies it into the staging buffer
+//! (behind its length prefix) and copies each chunk out of it (message mode
+//! moves the message instead); `QtpPacket::encode` copies the chunk into
+//! the packet header, which the sender keeps for retransmission by taking
+//! the chunk back after the encode; `qtp-io` copies the header into a frame
+//! and the kernel copies the frame. Receiving: the kernel copies into the
+//! mux's receive buffer, frame and packet decode copy the header and then
+//! the payload out of it; chunked mode copies each acknowledged payload
+//! into the parse buffer and each parsed message out of it (message mode
+//! moves the payload); `recv` moves the message out. In the simulator the
+//! header is moved through the network, so the kernel and frame copies
+//! drop out. Both buffers compact in amortised O(1) per byte: the staging
+//! buffer only once its consumed prefix is longer than the rest, the parse
+//! buffer once per `drain`, after every complete message is cut out.
+//!
 //! [`Session`]: crate::session::Session
 
 use std::cell::RefCell;
@@ -302,15 +319,19 @@ impl RecvStream {
 /// Sender-endpoint view: drains the shared queue into wire-sized chunks.
 pub(crate) struct StreamTx {
     shared: Rc<RefCell<SendShared>>,
-    /// Chunked mode: length-prefixed bytes staged but not yet packetised.
-    staged: VecDeque<u8>,
+    /// Chunked mode: length-prefixed bytes; `staged[staged_off..]` is not
+    /// yet packetised.
+    staged: Vec<u8>,
+    /// Consumed prefix of `staged`, at most half its length between calls.
+    staged_off: usize,
 }
 
 impl StreamTx {
     pub(crate) fn new(cfg: &StreamConfig, chunked: bool) -> Self {
         StreamTx {
             shared: Rc::new(RefCell::new(SendShared::new(cfg, chunked))),
-            staged: VecDeque::new(),
+            staged: Vec::new(),
+            staged_off: 0,
         }
     }
 
@@ -333,7 +354,7 @@ impl StreamTx {
 
     /// True if any bytes remain to packetise.
     pub(crate) fn has_data(&self) -> bool {
-        !self.staged.is_empty() || !self.shared.borrow().queue.is_empty()
+        self.staged_off < self.staged.len() || !self.shared.borrow().queue.is_empty()
     }
 
     /// True once the app called `finish` and every byte was packetised.
@@ -350,20 +371,29 @@ impl StreamTx {
         let max = max.clamp(1, MAX_STREAM_PAYLOAD);
         let mut s = self.shared.borrow_mut();
         if s.chunked {
-            while self.staged.len() < max {
+            while self.staged.len() - self.staged_off < max {
                 let Some(msg) = s.queue.pop_front() else {
                     break;
                 };
                 s.queued_bytes -= msg.bytes.len();
-                self.staged.extend((msg.bytes.len() as u32).to_be_bytes());
-                self.staged.extend(msg.bytes);
+                self.staged
+                    .extend_from_slice(&(msg.bytes.len() as u32).to_be_bytes());
+                self.staged.extend_from_slice(&msg.bytes);
             }
             Self::arm_writable(&mut s);
-            if self.staged.is_empty() {
+            let pending = &self.staged[self.staged_off..];
+            if pending.is_empty() {
                 return None;
             }
-            let take = self.staged.len().min(max);
-            let chunk: Vec<u8> = self.staged.drain(..take).collect();
+            let chunk = pending[..pending.len().min(max)].to_vec();
+            self.staged_off += chunk.len();
+            // Compact only once the consumed prefix outweighs the rest: the
+            // move then costs less than the bytes consumed since the last
+            // one, so staging stays O(bytes) however large a message is.
+            if self.staged_off * 2 > self.staged.len() {
+                self.staged.drain(..self.staged_off);
+                self.staged_off = 0;
+            }
             Some((chunk, 0))
         } else {
             let msg = s.queue.pop_front()?;
@@ -387,9 +417,7 @@ pub(crate) struct StreamRx {
     /// Chunked mode only: payloads stashed until the cumulative ack passes.
     stash: BTreeMap<u64, Vec<u8>>,
     /// Chunked mode only: in-order byte stream awaiting message parsing.
-    parse_buf: VecDeque<u8>,
-    /// Next sequence number to feed into `parse_buf`.
-    next_parse_seq: u64,
+    parse_buf: Vec<u8>,
     ordered: bool,
     fin_final_seq: Option<u64>,
 }
@@ -399,8 +427,7 @@ impl StreamRx {
         StreamRx {
             shared: Rc::new(RefCell::new(RecvShared::new(tracer))),
             stash: BTreeMap::new(),
-            parse_buf: VecDeque::new(),
-            next_parse_seq: 0,
+            parse_buf: Vec::new(),
             ordered,
             fin_final_seq: None,
         }
@@ -444,13 +471,13 @@ impl StreamRx {
     pub(crate) fn drain(&mut self, cum_ack: u64) -> u64 {
         let mut delivered = 0;
         if self.ordered {
-            while self.next_parse_seq < cum_ack {
-                // Fully-reliable profiles never leave a hole here, but a FIN
-                // processed after close can forward past stash gaps.
-                if let Some(p) = self.stash.remove(&self.next_parse_seq) {
-                    self.parse_buf.extend(p);
+            // Walk the stashed payloads, not the sequence numbers: a FWD or
+            // FIN can move `cum_ack` arbitrarily far past stash gaps.
+            while let Some(entry) = self.stash.first_entry() {
+                if *entry.key() >= cum_ack {
+                    break;
                 }
-                self.next_parse_seq += 1;
+                self.parse_buf.extend_from_slice(&entry.remove());
             }
             delivered = self.parse_messages();
         }
@@ -460,23 +487,21 @@ impl StreamRx {
 
     fn parse_messages(&mut self) -> u64 {
         let mut n = 0;
-        loop {
-            if self.parse_buf.len() < 4 {
+        let mut at = 0;
+        while let Some(&[a, b, c, d]) = self.parse_buf.get(at..at + 4) {
+            let start = at + 4;
+            let len = u32::from_be_bytes([a, b, c, d]) as usize;
+            let Some(msg) = start
+                .checked_add(len)
+                .and_then(|end| self.parse_buf.get(start..end))
+            else {
                 break;
-            }
-            let mut len_bytes = [0u8; 4];
-            for (i, b) in self.parse_buf.iter().take(4).enumerate() {
-                len_bytes[i] = *b;
-            }
-            let len = u32::from_be_bytes(len_bytes) as usize;
-            if self.parse_buf.len() < 4 + len {
-                break;
-            }
-            self.parse_buf.drain(..4);
-            let msg: Vec<u8> = self.parse_buf.drain(..len).collect();
-            self.shared.borrow_mut().push_msg(msg);
+            };
+            self.shared.borrow_mut().push_msg(msg.to_vec());
+            at = start + len;
             n += 1;
         }
+        self.parse_buf.drain(..at);
         n
     }
 
@@ -539,6 +564,7 @@ pub(crate) fn take_finished_edge(shared: &Rc<RefCell<RecvShared>>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn backpressure_full_then_writable_edge() {
@@ -675,5 +701,148 @@ mod tests {
         }
         assert_eq!(rx.drain(seq), 1);
         assert_eq!(rx.handle().recv().unwrap(), vec![9u8; 10]);
+    }
+
+    /// One step of the chunker property.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// `send` a message of this many bytes.
+        Send(usize),
+        /// `next_chunk` with this `max`.
+        Chunk(usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let send = (0u32..16, 0..=3 * MAX_STREAM_PAYLOAD, 0usize..=1 << 20)
+            .prop_map(|(pick, small, big)| Op::Send(if pick == 0 { big } else { small }));
+        prop_oneof![send, (0..=2 * MAX_STREAM_PAYLOAD).prop_map(Op::Chunk)]
+    }
+
+    /// The naive model of the sender: every accepted message framed into
+    /// one byte string, with how far chunks have consumed it.
+    #[derive(Default)]
+    struct Oracle {
+        framed: Vec<u8>,
+        /// Accepted messages and their framed start offsets.
+        sent: Vec<(usize, Vec<u8>)>,
+        consumed: usize,
+        /// A send bounced off the full buffer since the last writable edge.
+        bounced: bool,
+    }
+
+    impl Oracle {
+        /// Bytes of the messages no chunk has touched yet.
+        fn untouched_bytes(&self) -> usize {
+            self.sent
+                .iter()
+                .filter(|(start, _)| *start >= self.consumed)
+                .map(|(_, m)| m.len())
+                .sum()
+        }
+
+        fn send(&mut self, tx: &StreamTx, len: usize, cap: usize) -> Result<(), TestCaseError> {
+            let msg: Vec<u8> = (0..len).map(|i| (i ^ self.sent.len()) as u8).collect();
+            let queued = self
+                .sent
+                .last()
+                .is_some_and(|(start, _)| *start >= self.consumed);
+            let full = queued && self.untouched_bytes() + len > cap;
+            let res = tx.handle().send(&msg);
+            if full {
+                prop_assert_eq!(res, Err(StreamError::Full));
+                self.bounced = true;
+            } else {
+                prop_assert_eq!(res, Ok(()));
+                self.sent.push((self.framed.len(), msg));
+                let (_, msg) = self.sent.last().expect("just pushed");
+                self.framed.extend((msg.len() as u32).to_be_bytes());
+                self.framed.extend(msg);
+            }
+            Ok(())
+        }
+
+        fn chunk(
+            &mut self,
+            tx: &mut StreamTx,
+            max: usize,
+            cap: usize,
+        ) -> Result<Option<Vec<u8>>, TestCaseError> {
+            let chunk = tx.next_chunk(max).map(|(c, ttl)| {
+                assert_eq!(ttl, 0);
+                c
+            });
+            let take = max
+                .clamp(1, MAX_STREAM_PAYLOAD)
+                .min(self.framed.len() - self.consumed);
+            let want = &self.framed[self.consumed..self.consumed + take];
+            match &chunk {
+                None => prop_assert!(want.is_empty(), "no chunk with {take} bytes pending"),
+                Some(c) => prop_assert!(c == want, "chunk of {} bytes differs", c.len()),
+            }
+            self.consumed += take;
+            let untouched = self.untouched_bytes();
+            prop_assert_eq!(tx.handle().queued_bytes(), untouched);
+            let edge = self.bounced && untouched < cap;
+            self.bounced &= !edge;
+            prop_assert_eq!(take_writable_edge(&tx.shared()), edge);
+            Ok(chunk)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The chunker cuts exactly the framed message stream, releases
+        /// messages from the shared queue (`queued_bytes`, `Full`, the
+        /// writable edge) as soon as a chunk touches them, and the parser
+        /// rebuilds exactly the sent messages from any arrival order.
+        #[test]
+        fn chunker_and_parser_match_a_byte_stream_oracle(
+            ops in prop::collection::vec(op(), 1..60),
+            cap in 1usize..=64 * 1024,
+            drain_max in 0..=2 * MAX_STREAM_PAYLOAD,
+            shuffle in any::<u64>(),
+        ) {
+            let mut tx = StreamTx::new(&StreamConfig::with_send_buf(cap), true);
+            let mut oracle = Oracle::default();
+            let mut chunks = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Send(len) => oracle.send(&tx, len, cap)?,
+                    Op::Chunk(max) => chunks.extend(oracle.chunk(&mut tx, max, cap)?),
+                }
+            }
+            while let Some(c) = oracle.chunk(&mut tx, drain_max, cap)? {
+                chunks.push(c);
+            }
+            prop_assert!(!tx.has_data());
+
+            // Arrival order: a seeded Fisher-Yates shuffle. The cumulative
+            // ack is the first sequence not yet arrived, as the receiver's
+            // reassembly reports it.
+            let mut order: Vec<usize> = (0..chunks.len()).collect();
+            let mut state = shuffle;
+            for i in (1..order.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                order.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let mut rx = StreamRx::new(true, Tracer::new(0));
+            let mut arrived = vec![false; chunks.len()];
+            let mut cum_ack = 0;
+            for i in order {
+                rx.on_payload(i as u64, std::mem::take(&mut chunks[i]));
+                arrived[i] = true;
+                while arrived.get(cum_ack) == Some(&true) {
+                    cum_ack += 1;
+                }
+                rx.drain(cum_ack as u64);
+            }
+            let rh = rx.handle();
+            let got: Vec<Vec<u8>> = std::iter::from_fn(|| rh.recv()).collect();
+            prop_assert_eq!(got.len(), oracle.sent.len());
+            for (k, (got, (_, want))) in got.iter().zip(&oracle.sent).enumerate() {
+                prop_assert!(got == want, "message {k} differs");
+            }
+        }
     }
 }

@@ -25,6 +25,10 @@ pub const IP_OVERHEAD: u32 = 20;
 /// Maximum SACK blocks carried in one feedback packet.
 pub const MAX_FB_BLOCKS: usize = 4;
 
+/// Longest encoding of any packet apart from its stream payload: a
+/// feedback packet carrying [`MAX_FB_BLOCKS`] blocks.
+const MAX_HEADER: usize = 35 + 16 * MAX_FB_BLOCKS;
+
 /// Decoded QTP packet.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QtpPacket {
@@ -177,8 +181,14 @@ pub fn is_close_handshake(header: &[u8]) -> bool {
 
 impl QtpPacket {
     /// Encode to header bytes (excluding simulated payload and IP overhead).
+    /// A packet's wire size is the encoded length plus [`IP_OVERHEAD`] (plus
+    /// the simulated payload of a [`QtpPacket::Data`]).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let payload_len = match self {
+            QtpPacket::StreamData { payload, .. } => payload.len(),
+            _ => 0,
+        };
+        let mut out = Vec::with_capacity(MAX_HEADER + payload_len);
         match self {
             QtpPacket::Syn { ts_nanos, offered } => {
                 out.put_u8(T_SYN);
@@ -263,11 +273,6 @@ impl QtpPacket {
             }
         }
         out
-    }
-
-    /// Wire size of the encoded header plus IP overhead (no payload).
-    pub fn wire_size(&self) -> u32 {
-        self.encode().len() as u32 + IP_OVERHEAD
     }
 
     /// Decode from header bytes.
@@ -622,6 +627,36 @@ mod tests {
             cum_ack: u64::MAX,
             blocks: vec![],
         };
-        assert!(fb.wire_size() <= 75, "feedback size {}", fb.wire_size());
+        let size = fb.encode().len() as u32 + IP_OVERHEAD;
+        assert!(size <= 75, "feedback size {size}");
+    }
+
+    #[test]
+    fn encode_reserves_the_whole_packet() {
+        let blocks = (0..MAX_FB_BLOCKS as u64)
+            .map(|i| SeqRange::new(2 * i, 2 * i + 1))
+            .collect();
+        let full_fb = QtpPacket::Feedback {
+            ts_echo_nanos: 1,
+            t_delay_micros: 2,
+            x_recv: 3,
+            p_ppb: Some(4),
+            cum_ack: 5,
+            blocks,
+        };
+        assert_eq!(full_fb.encode().len(), MAX_HEADER);
+        let data = QtpPacket::StreamData {
+            seq: 1,
+            ts_nanos: 2,
+            adu_ts_nanos: 3,
+            rtt_hint_micros: 4,
+            is_retx: false,
+            ttl_micros: 0,
+            payload: vec![7; MAX_STREAM_PAYLOAD],
+        };
+        // A reallocation would have grown the capacity past the reservation.
+        let bytes = data.encode();
+        assert!(bytes.len() <= MAX_HEADER + MAX_STREAM_PAYLOAD);
+        assert_eq!(bytes.capacity(), MAX_HEADER + MAX_STREAM_PAYLOAD);
     }
 }

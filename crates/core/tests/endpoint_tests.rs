@@ -449,3 +449,32 @@ fn data_before_the_handshake_is_received_but_not_processed() {
     assert_eq!(c.pkts_rx, 1, "the datagram was accepted from the wire");
     assert_eq!((c.data_rx, c.ops), (0, 0), "but dropped unprocessed");
 }
+
+#[test]
+fn forged_forward_does_not_stall_an_ordered_stream_receiver() {
+    // A FWD is honoured under full reliability too, so a peer can move the
+    // cumulative ack of an ordered stream arbitrarily far. The receiver
+    // must get there in time proportional to what it has stashed, not to
+    // the size of the jump.
+    let plan =
+        ConnectionPlan::new(Profile::qtp_af(Rate::from_mbps(1))).stream(StreamConfig::default());
+    let mut rx = Session::receiver(0, 1, 0, &plan);
+    let stream = rx.recv_stream().expect("stream plan");
+    let mut out = Outbox::new();
+    let mut deliver = |rx: &mut Session, pkt: QtpPacket| {
+        let header = pkt.encode();
+        rx.handle_datagram(&mut out, header.len() as u32 + wire::IP_OVERHEAD, &header);
+    };
+    deliver(
+        &mut rx,
+        QtpPacket::Syn {
+            ts_nanos: 0,
+            offered: plan.profile.caps(),
+        },
+    );
+    assert!(rx.negotiated().is_some(), "handshake completed");
+    deliver(&mut rx, QtpPacket::Forward { new_cum: 1 << 62 });
+    deliver(&mut rx, QtpPacket::Fin { final_seq: 1 << 62 });
+    assert!(stream.is_finished());
+    assert_eq!(stream.messages_received(), 0);
+}
