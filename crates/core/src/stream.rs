@@ -753,10 +753,10 @@ mod tests {
                 self.bounced = true;
             } else {
                 prop_assert_eq!(res, Ok(()));
-                self.sent.push((self.framed.len(), msg));
-                let (_, msg) = self.sent.last().expect("just pushed");
+                let start = self.framed.len();
                 self.framed.extend((msg.len() as u32).to_be_bytes());
-                self.framed.extend(msg);
+                self.framed.extend(&msg);
+                self.sent.push((start, msg));
             }
             Ok(())
         }
