@@ -1,15 +1,13 @@
-//! Micro-benchmarks of the connection mux hot paths: frame decode +
-//! `(peer, flow)` route lookup + endpoint dispatch, and the timer wheel's
-//! schedule/advance cycle. These price the per-datagram overhead every
-//! future batching PR (recvmmsg/GSO) amortizes.
+//! Micro-benchmarks of the connection mux hot path: frame decode +
+//! `(peer, flow)` route lookup + endpoint dispatch, on a hit and on a
+//! miss. These price the per-datagram overhead every future batching
+//! change (recvmmsg/GSO) amortizes.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qtp_core::driver::{Endpoint, Outbox};
 use qtp_io::frame::Frame;
-use qtp_io::mux::{ConnId, MuxDriver, TimerWheel};
-use qtp_simnet::time::SimTime;
+use qtp_io::mux::MuxDriver;
 use std::net::SocketAddr;
-use std::time::Duration;
 
 /// An endpoint that swallows datagrams without emitting commands, so the
 /// benchmark isolates decode + routing + dispatch.
@@ -73,25 +71,5 @@ fn bench_routing(c: &mut Criterion) {
     });
 }
 
-fn bench_timer_wheel(c: &mut Criterion) {
-    // Steady-state wheel churn at many-flow scale: each iteration re-arms
-    // and fires one timer per 8 connections within a 200 ms window.
-    c.bench_function("mux/wheel_schedule_advance_1024", |b| {
-        let mut wheel = TimerWheel::new(Duration::from_millis(1));
-        let mut now_ms = 0u64;
-        b.iter(|| {
-            now_ms += 1;
-            for i in 0..128u64 {
-                wheel.schedule(
-                    SimTime::from_millis(now_ms + 1 + (i % 200)),
-                    ConnId::from_raw(i),
-                    i,
-                );
-            }
-            black_box(wheel.advance(SimTime::from_millis(now_ms)))
-        })
-    });
-}
-
-criterion_group!(benches, bench_routing, bench_timer_wheel);
+criterion_group!(benches, bench_routing);
 criterion_main!(benches);

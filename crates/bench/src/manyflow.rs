@@ -350,7 +350,7 @@ impl ManyFlowReport {
                 let c = st.counter_set();
                 let _ = writeln!(
                     s,
-                    "  mux {side}: {} dgrams out / {} in, {} timer fires, {} soft errors, backlog high-water {}, wheel high-water {}",
+                    "  mux {side}: {} dgrams out / {} in, {} timer fires, {} soft errors, backlog high-water {}, timer high-water {}",
                     c.pkts_tx,
                     c.pkts_rx,
                     c.timer_fires,

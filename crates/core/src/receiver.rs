@@ -281,12 +281,7 @@ impl QtpReceiver {
         }
         self.own_ops += 3; // counter updates + hint check
 
-        // New-gap detection (drives immediate feedback in QTPlight mode).
-        let new_gap = match self.highest_seen {
-            Some(h) => seq > h + 1,
-            None => false,
-        };
-        self.highest_seen = Some(self.highest_seen.map_or(seq, |h| h.max(seq)));
+        let new_gap = self.note_seen(seq);
 
         // Heavy path: RFC 3448 receiver machinery.
         let mut loss_event_fb = false;
@@ -329,6 +324,14 @@ impl QtpReceiver {
         self.record_costs();
     }
 
+    /// Record `seq` as seen; whether it opens a new gap above the highest
+    /// sequence seen so far (drives immediate feedback in QTPlight mode).
+    fn note_seen(&mut self, seq: u64) -> bool {
+        let new_gap = self.highest_seen.is_some_and(|h| seq.saturating_sub(h) > 1);
+        self.highest_seen = Some(self.highest_seen.map_or(seq, |h| h.max(seq)));
+        new_gap
+    }
+
     /// Stream-mode data path: explicit payload bytes, receiver-side TTL
     /// enforcement, and message reassembly via [`StreamRx`].
     #[allow(clippy::too_many_arguments)]
@@ -359,11 +362,7 @@ impl QtpReceiver {
         }
         self.own_ops += 3;
 
-        let new_gap = match self.highest_seen {
-            Some(h) => seq > h + 1,
-            None => false,
-        };
-        self.highest_seen = Some(self.highest_seen.map_or(seq, |h| h.max(seq)));
+        let new_gap = self.note_seen(seq);
 
         let mut loss_event_fb = false;
         if let Some(Connected {
@@ -569,6 +568,15 @@ impl Endpoint for QtpReceiver {
             return;
         };
         let now_nanos = out.now.as_nanos();
+        // Sequence sets store half-open ranges, so a data sequence with no
+        // successor cannot be represented: drop it before it touches any
+        // state. Honest senders never get there.
+        if let QtpPacket::Data { seq: u64::MAX, .. } | QtpPacket::StreamData { seq: u64::MAX, .. } =
+            decoded
+        {
+            self.tracer.emit(now_nanos, TraceEventKind::SoftError);
+            return;
+        }
         match decoded {
             QtpPacket::Syn { ts_nanos, offered } => {
                 self.tracer.emit(

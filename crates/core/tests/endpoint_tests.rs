@@ -478,3 +478,55 @@ fn forged_forward_does_not_stall_an_ordered_stream_receiver() {
     assert!(stream.is_finished());
     assert_eq!(stream.messages_received(), 0);
 }
+
+#[test]
+fn data_at_u64_max_sequence_is_dropped_not_a_panic() {
+    // A peer-chosen sequence with no successor used to overflow the SACK
+    // range insert. It must be dropped and counted as a soft error, and
+    // must not poison the receiver for the honest packet after it.
+    let data = |seq| QtpPacket::Data {
+        seq,
+        ts_nanos: 0,
+        adu_ts_nanos: 0,
+        rtt_hint_micros: 0,
+        is_retx: false,
+    };
+    let stream_data = |seq| QtpPacket::StreamData {
+        seq,
+        ts_nanos: 0,
+        adu_ts_nanos: 0,
+        rtt_hint_micros: 0,
+        is_retx: false,
+        ttl_micros: 0,
+        payload: vec![7; 100],
+    };
+    let af = Profile::qtp_af(Rate::from_mbps(1));
+    let cases: [(ConnectionPlan, &dyn Fn(u64) -> QtpPacket); 3] = [
+        (ConnectionPlan::new(af), &data),
+        (ConnectionPlan::new(Profile::qtp_light()), &data),
+        (
+            ConnectionPlan::new(af).stream(StreamConfig::default()),
+            &stream_data,
+        ),
+    ];
+    for (plan, make) in cases {
+        let mut rx = Session::receiver(0, 1, 0, &plan);
+        let mut out = Outbox::new();
+        for pkt in [
+            QtpPacket::Syn {
+                ts_nanos: 0,
+                offered: plan.profile.caps(),
+            },
+            make(u64::MAX),
+            make(5),
+        ] {
+            let header = pkt.encode();
+            rx.handle_datagram(&mut out, header.len() as u32 + 1000, &header);
+        }
+        assert!(rx.negotiated().is_some(), "handshake completed");
+        let c = rx.tracer().counters();
+        assert_eq!(c.soft_errors, 1, "the u64::MAX packet is counted");
+        assert_eq!(c.pkts_rx, 2, "SYN and seq 5 reach the receiver");
+        assert_eq!(c.data_rx, 1, "seq 5 is processed");
+    }
+}

@@ -1,13 +1,14 @@
 //! Property tests for [`TimerGens`] cancellation/regeneration semantics
 //! under many interleaved flows — the contract the connection mux leans
 //! on: timers are fire-and-forget at the driver (nothing is ever
-//! cancelled in the wheel), so *correct stale-token filtering at the
+//! cancelled in the timer heap), so *correct stale-token filtering at the
 //! endpoint is the only thing standing between a re-armed timer and a
 //! double fire*.
 //!
 //! The model: a pool of flows, each owning an independent `TimerGens<4>`,
 //! with arming operations interleaved arbitrarily across flows and kinds
-//! (exactly what the mux produces when many connections share one wheel).
+//! (exactly what the mux produces when many connections share one timer
+//! heap).
 
 use proptest::prelude::*;
 use qtp_core::TimerGens;
@@ -79,7 +80,7 @@ proptest! {
     #[test]
     fn tokens_are_unique_across_a_flow_history(ops in arb_ops()) {
         // No two arms on one flow ever hand out the same token — the
-        // uniqueness the wheel's fire-and-forget delivery relies on.
+        // uniqueness the timer heap's fire-and-forget delivery relies on.
         let mut gens: Vec<TimerGens<4>> = (0..FLOWS).map(|_| TimerGens::new()).collect();
         let mut seen: Vec<std::collections::BTreeSet<u64>> =
             (0..FLOWS).map(|_| Default::default()).collect();

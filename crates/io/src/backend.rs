@@ -234,7 +234,7 @@ impl Backend for UdpBackend {
 
 /// Socket-level counters from one [`MuxBackend::run`], per side. The
 /// [`MuxStats::counter_set`] view is the cross-backend currency; the raw
-/// stats keep the mux-only fields (backlog / timer-wheel high-water).
+/// stats keep the mux-only fields (backlog and timer high-water marks).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MuxRunStats {
     /// The client-side mux (all senders).
@@ -282,7 +282,6 @@ impl Backend for MuxBackend {
     fn run(&mut self, plans: &[ConnectionPlan]) -> io::Result<Vec<ConnectionOutcome>> {
         let cfg = MuxConfig {
             max_conns: (2 * plans.len()).max(self.mux.max_conns),
-            ..self.mux.clone()
         };
         let (outcomes, stats) = run_on_pairs(plans, 1, &cfg, self.deadline)?;
         self.last_stats = stats.first().copied();
@@ -342,10 +341,7 @@ mod tests {
     fn acceptor_admits_only_the_own_clients_offers() {
         // A connection cap of two: before the guard, two foreign frames
         // filled it and left the real client's SYN unroutable.
-        let cfg = MuxConfig {
-            max_conns: 2,
-            ..MuxConfig::default()
-        };
+        let cfg = MuxConfig { max_conns: 2 };
         let mut server: MuxDriver<Session> = MuxDriver::bind_with("127.0.0.1:0", cfg).unwrap();
         let client = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
         let client_addr = client.local_addr().unwrap();

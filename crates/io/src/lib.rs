@@ -17,8 +17,9 @@
 //!   rounds, TTL reliability) is backend-independent;
 //! * [`mux`] — [`MuxDriver`], the one real-socket event loop: a
 //!   non-blocking socket carrying any number of concurrent endpoints,
-//!   routed by `(peer, flow id)`, with a per-connection [`TimerWheel`],
-//!   accept-on-first-frame, teardown and stale-flow reaping;
+//!   routed by `(peer, flow id)`, with every connection's timers in one
+//!   `std` binary heap, accept-on-first-frame, teardown and stale-flow
+//!   reaping;
 //! * [`accept`] — [`accept_sessions`], plan-template accept for servers;
 //! * [`backend`] — the `Backend` bindings: [`UdpBackend`] (one mux pair per
 //!   connection) and [`MuxBackend`] (every connection over one pair), one
@@ -69,6 +70,4 @@ pub use accept::{accept_sessions, AcceptEvent, AcceptQueue};
 pub use backend::{MuxBackend, UdpBackend};
 pub use clock::WallClock;
 pub use frame::{Frame, FrameError};
-pub use mux::{
-    drive_mux_pair, Accepted, ConnId, ConnStats, MuxConfig, MuxDriver, MuxStats, TimerWheel,
-};
+pub use mux::{drive_mux_pair, Accepted, ConnId, ConnStats, MuxConfig, MuxDriver, MuxStats};

@@ -9,7 +9,7 @@
 //! ```text
 //! loop {                                  // MuxDriver::drive_once
 //!     flush backlogged sends              // WouldBlock retries
-//!     advance timer wheel, fire due       // endpoint.on_timer per conn
+//!     pop due timers off the heap, fire   // endpoint.on_timer per conn
 //!     while socket ready (level-trig.):   // set_nonblocking(true)
 //!         recv; decode frame
 //!         route (peer, frame.flow) -> conn, else acceptor -> new conn
@@ -21,10 +21,15 @@
 //! * **Routing** — every connection registers the flow ids it owns with its
 //!   peer address (a QTP connection owns two: data + feedback). The route
 //!   table is the hot path; see the `mux_micro` criterion bench.
-//! * **Timers** — a [`TimerWheel`] holds every armed wakeup, tagged by
-//!   connection so teardown can purge them. The wheel keeps the
-//!   simulator's fire-and-forget contract: it never cancels an entry on
-//!   re-arm; endpoints discard stale generations via
+//! * **Timers** — one `std` [`BinaryHeap`] holds every armed wakeup of
+//!   every connection as `(deadline, arming order, connection, token)`:
+//!   timers fire in exact deadline-then-arming order, never early;
+//!   [`MuxDriver::poll_timeout`] is a peek and teardown purges a
+//!   connection's entries with `retain`. The population is small — a
+//!   64-connection bulk transfer peaks at ~260 armed entries, about 4 per
+//!   connection — so nothing bucketed pays for its code here. The heap
+//!   keeps the simulator's fire-and-forget contract: it never cancels an
+//!   entry on re-arm; endpoints discard stale generations via
 //!   [`TimerGens`](qtp_core::TimerGens).
 //! * **Lifecycle** — connections appear either explicitly
 //!   ([`MuxDriver::add_connection`], the client role) or on the first
@@ -43,7 +48,8 @@
 use qtp_core::driver::{Command, Endpoint, Outbox, Transmit};
 use qtp_simnet::packet::FlowId;
 use qtp_simnet::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
@@ -56,20 +62,6 @@ use crate::frame::{Frame, MAX_FRAME_LEN};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnId(u64);
 
-impl ConnId {
-    /// Build an id from its raw value — for driving a [`TimerWheel`]
-    /// directly (tests, benchmarks). Ids used with a [`MuxDriver`] always
-    /// come from the driver itself.
-    pub fn from_raw(raw: u64) -> Self {
-        ConnId(raw)
-    }
-
-    /// The raw value.
-    pub fn as_raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl std::fmt::Display for ConnId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "conn#{}", self.0)
@@ -77,200 +69,21 @@ impl std::fmt::Display for ConnId {
 }
 
 // ---------------------------------------------------------------------------
-// Timer wheel
-// ---------------------------------------------------------------------------
-
-/// Slots per wheel revolution. With the default 1 ms granularity one
-/// revolution covers 256 ms; anything further out parks in the overflow
-/// list until its revolution comes around.
-const WHEEL_SLOTS: usize = 256;
-
-#[derive(Debug, Clone)]
-struct TimerEntry {
-    at: SimTime,
-    /// Arming order, the tie-break for equal deadlines (matching the
-    /// simulator's insertion-order event tie-break).
-    seq: u64,
-    conn: ConnId,
-    token: u64,
-}
-
-/// A hashed timer wheel over all connections of a mux.
-///
-/// Entries are bucketed by deadline into [`WHEEL_SLOTS`] slots of fixed
-/// granularity; [`TimerWheel::advance`] drains every entry due at `now`, in
-/// exact `(deadline, arming order)` order — the granularity affects only
-/// bucketing cost, never fire order. Entries are tagged with their
-/// [`ConnId`] so [`TimerWheel::cancel_conn`] can purge a torn-down
-/// connection wholesale; individual timers are fire-and-forget, exactly
-/// like the simulator's (endpoints filter stale generations themselves, see
-/// [`TimerGens`](qtp_core::TimerGens)).
-#[derive(Debug)]
-pub struct TimerWheel {
-    granularity_ns: u64,
-    slots: Vec<Vec<TimerEntry>>,
-    /// Entries more than one revolution ahead of the cursor.
-    overflow: Vec<TimerEntry>,
-    /// Tick index the wheel has been advanced to (inclusive).
-    cursor: u64,
-    next_seq: u64,
-    armed: usize,
-    /// Cached earliest deadline, so the idle path reads the sleep bound
-    /// without scanning every slot. Entry removal (advance/cancel) only
-    /// marks it dirty; [`TimerWheel::next_deadline`] recomputes lazily —
-    /// and the driver consults it only on idle iterations, where nothing
-    /// just fired and the cache is almost always still clean.
-    earliest: std::cell::Cell<Option<SimTime>>,
-    earliest_dirty: std::cell::Cell<bool>,
-}
-
-impl TimerWheel {
-    /// A wheel with the given slot width. Sub-slot deadline precision is
-    /// preserved; the width only sizes the buckets.
-    pub fn new(granularity: Duration) -> Self {
-        TimerWheel {
-            granularity_ns: (granularity.as_nanos() as u64).max(1),
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            overflow: Vec::new(),
-            cursor: 0,
-            next_seq: 0,
-            armed: 0,
-            earliest: std::cell::Cell::new(None),
-            earliest_dirty: std::cell::Cell::new(false),
-        }
-    }
-
-    fn tick_of(&self, at: SimTime) -> u64 {
-        at.as_nanos() / self.granularity_ns
-    }
-
-    /// Arm a wakeup for `conn` at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, conn: ConnId, token: u64) {
-        self.next_seq += 1;
-        let entry = TimerEntry {
-            at,
-            seq: self.next_seq,
-            conn,
-            token,
-        };
-        self.armed += 1;
-        if !self.earliest_dirty.get() {
-            self.earliest.set(Some(match self.earliest.get() {
-                Some(e) => e.min(at),
-                None => at,
-            }));
-        }
-        let tick = self.tick_of(at);
-        if tick >= self.cursor + WHEEL_SLOTS as u64 {
-            self.overflow.push(entry);
-        } else {
-            // Already-due entries land in the cursor slot, which the next
-            // advance always rescans.
-            let slot = tick.max(self.cursor) % WHEEL_SLOTS as u64;
-            self.slots[slot as usize].push(entry);
-        }
-    }
-
-    /// Drain every entry due at `now`, ordered by `(deadline, arming
-    /// order)`, and move the cursor up to `now`'s tick.
-    pub fn advance(&mut self, now: SimTime) -> Vec<(ConnId, u64)> {
-        let now_tick = self.tick_of(now).max(self.cursor);
-        let mut due: Vec<TimerEntry> = Vec::new();
-
-        // Overflow: fire what is due outright, refile what has entered the
-        // coming revolution, keep the rest parked.
-        let horizon = now_tick + WHEEL_SLOTS as u64;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            if self.overflow[i].at <= now {
-                due.push(self.overflow.swap_remove(i));
-            } else if self.tick_of(self.overflow[i].at) < horizon {
-                let e = self.overflow.swap_remove(i);
-                let slot = self.tick_of(e.at).max(now_tick) % WHEEL_SLOTS as u64;
-                self.slots[slot as usize].push(e);
-            } else {
-                i += 1;
-            }
-        }
-
-        // Visit each slot between the cursor and now's tick at most once
-        // (a revolution covers them all). Only the final slot can hold
-        // not-yet-due entries; they stay put and are rescanned next time.
-        let span = (now_tick - self.cursor).min(WHEEL_SLOTS as u64 - 1);
-        for t in self.cursor..=self.cursor + span {
-            let slot = &mut self.slots[(t % WHEEL_SLOTS as u64) as usize];
-            let mut j = 0;
-            while j < slot.len() {
-                if slot[j].at <= now {
-                    due.push(slot.swap_remove(j));
-                } else {
-                    j += 1;
-                }
-            }
-        }
-        self.cursor = now_tick;
-
-        due.sort_by_key(|e| (e.at, e.seq));
-        self.armed -= due.len();
-        if !due.is_empty() {
-            self.earliest_dirty.set(true);
-        }
-        due.into_iter().map(|e| (e.conn, e.token)).collect()
-    }
-
-    /// Earliest armed deadline, if any (the idle-sleep bound). O(1) while
-    /// the cache is clean; one slot scan right after entries were removed.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        if self.earliest_dirty.get() {
-            self.earliest.set(
-                self.slots
-                    .iter()
-                    .flatten()
-                    .chain(self.overflow.iter())
-                    .map(|e| e.at)
-                    .min(),
-            );
-            self.earliest_dirty.set(false);
-        }
-        self.earliest.get()
-    }
-
-    /// Drop every entry belonging to `conn` (connection teardown).
-    pub fn cancel_conn(&mut self, conn: ConnId) {
-        for slot in self
-            .slots
-            .iter_mut()
-            .chain(std::iter::once(&mut self.overflow))
-        {
-            slot.retain(|e| e.conn != conn);
-        }
-        self.armed = self.slots.iter().map(Vec::len).sum::<usize>() + self.overflow.len();
-        self.earliest_dirty.set(true);
-    }
-
-    /// Number of armed entries.
-    pub fn len(&self) -> usize {
-        self.armed
-    }
-
-    /// Whether no entries are armed.
-    pub fn is_empty(&self) -> bool {
-        self.armed == 0
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The mux driver
 // ---------------------------------------------------------------------------
 
-/// Tuning knobs for a [`MuxDriver`].
+/// Most datagrams dispatched per [`MuxDriver::drive_once`] call before
+/// yielding back to the timer path (level-triggered fairness bound).
+const RECV_BATCH: usize = 256;
+
+/// An armed wakeup: `(deadline, arming order, connection, token)`. The
+/// arming order breaks deadline ties, matching the simulator's
+/// insertion-order event tie-break.
+type TimerEntry = (SimTime, u64, ConnId, u64);
+
+/// Limits of a [`MuxDriver`].
 #[derive(Debug, Clone)]
 pub struct MuxConfig {
-    /// Timer wheel slot width.
-    pub timer_granularity: Duration,
-    /// Most datagrams dispatched per [`MuxDriver::drive_once`] call before
-    /// yielding back to the timer path (level-triggered fairness bound).
-    pub recv_batch: usize,
     /// Most concurrent connections; the acceptor is not consulted beyond
     /// this (the datagram counts as unroutable).
     pub max_conns: usize,
@@ -278,11 +91,7 @@ pub struct MuxConfig {
 
 impl Default for MuxConfig {
     fn default() -> Self {
-        MuxConfig {
-            timer_granularity: Duration::from_millis(1),
-            recv_batch: 256,
-            max_conns: 4096,
-        }
+        MuxConfig { max_conns: 4096 }
     }
 }
 
@@ -336,8 +145,9 @@ pub struct MuxStats {
     pub soft_errors: u64,
     /// Deepest the `WouldBlock` send backlog ever got (frames).
     pub tx_backlog_high_water: u64,
-    /// Most timer entries armed in the wheel at once (stale generations
-    /// included): the timer-state footprint of the whole mux.
+    /// Most timer entries armed at once (stale generations included): the
+    /// timer-state footprint of the whole mux. The name is kept from the
+    /// timer wheel the heap replaced, because benchmarks read it by name.
     pub timer_wheel_high_water: u64,
 }
 
@@ -375,7 +185,10 @@ pub struct MuxDriver<E: Endpoint> {
     socket: UdpSocket,
     clock: WallClock,
     cfg: MuxConfig,
-    wheel: TimerWheel,
+    /// Every armed wakeup of every connection, earliest first.
+    timers: BinaryHeap<Reverse<TimerEntry>>,
+    /// Timers armed so far: the next entry's arming order.
+    next_arm: u64,
     conns: BTreeMap<ConnId, Conn<E>>,
     routes: BTreeMap<(SocketAddr, FlowId), ConnId>,
     acceptor: Option<Acceptor<E>>,
@@ -404,8 +217,9 @@ impl<E: Endpoint> MuxDriver<E> {
         Ok(MuxDriver {
             socket,
             clock: WallClock::new(),
-            wheel: TimerWheel::new(cfg.timer_granularity),
             cfg,
+            timers: BinaryHeap::new(),
+            next_arm: 0,
             conns: BTreeMap::new(),
             routes: BTreeMap::new(),
             acceptor: None,
@@ -499,7 +313,7 @@ impl<E: Endpoint> MuxDriver<E> {
         for f in &conn.flows {
             self.routes.remove(&(conn.peer, *f));
         }
-        self.wheel.cancel_conn(id);
+        self.timers.retain(|&Reverse((_, _, conn, _))| conn != id);
         self.stats.conns_closed += 1;
         conn.ep
     }
@@ -556,7 +370,7 @@ impl<E: Endpoint> MuxDriver<E> {
 
     /// Earliest armed timer deadline across all connections.
     pub fn poll_timeout(&self) -> Option<SimTime> {
-        self.wheel.next_deadline()
+        self.timers.peek().map(|&Reverse((at, ..))| at)
     }
 
     /// Number of armed timer entries across all connections (stale
@@ -565,7 +379,7 @@ impl<E: Endpoint> MuxDriver<E> {
     /// its last in-flight timer fires — the no-leak property the
     /// `mux_stream` tests pin down.
     pub fn timer_count(&self) -> usize {
-        self.wheel.len()
+        self.timers.len()
     }
 
     /// One iteration of the readiness loop: retry backlogged sends, fire
@@ -577,11 +391,11 @@ impl<E: Endpoint> MuxDriver<E> {
     /// dispatched to endpoints.
     pub fn drive_once(&mut self, slice: Duration) -> io::Result<usize> {
         self.flush_backlog()?;
-        let fired = self.fire_due_timers()?;
+        let fired = self.fire_due_timers(self.clock.now())?;
 
         let mut handled = 0usize;
         let mut received = 0usize;
-        for _ in 0..self.cfg.recv_batch {
+        for _ in 0..RECV_BATCH {
             match self.socket.recv_from(&mut self.recv_buf) {
                 Ok((n, from)) => {
                     received += 1;
@@ -595,17 +409,7 @@ impl<E: Endpoint> MuxDriver<E> {
                     };
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                // Soft per-datagram failures on UDP (ICMP port-unreachable
-                // reflected onto the socket): never loop-fatal, the armed
-                // protocol timers handle recovery.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionRefused
-                    ) =>
-                {
-                    self.stats.soft_errors += 1;
-                }
+                Err(e) if is_soft(&e) => self.stats.soft_errors += 1,
                 Err(e) => return Err(e),
             }
         }
@@ -614,7 +418,7 @@ impl<E: Endpoint> MuxDriver<E> {
             // A pending send backlog still bounds the nap: retrying only
             // needs the peer to have drained a little, so come back soon
             // rather than busy-spinning or oversleeping.
-            let mut wait = match self.wheel.next_deadline() {
+            let mut wait = match self.poll_timeout() {
                 Some(at) => at.saturating_since(self.clock.now()).min(slice),
                 None => slice,
             };
@@ -690,24 +494,29 @@ impl<E: Endpoint> MuxDriver<E> {
         Ok(Some(id))
     }
 
-    /// Deliver every due timer. Stale generations are delivered too —
-    /// filtering them is the endpoint's job ([`TimerGens`]
-    /// fire-and-forget contract), but timers of closed connections are
-    /// dropped here.
+    /// Deliver every timer due at `now`, in `(deadline, arming order)`.
+    /// The due set is taken off the heap before any callback runs, so a
+    /// timer armed during the sweep waits for the next one even if it is
+    /// already due. Stale generations are delivered too — filtering them
+    /// is the endpoint's job ([`TimerGens`] fire-and-forget contract);
+    /// [`MuxDriver::close`] already purged the timers of closed
+    /// connections.
     ///
     /// [`TimerGens`]: qtp_core::TimerGens
-    fn fire_due_timers(&mut self) -> io::Result<usize> {
-        let due = self.wheel.advance(self.clock.now());
-        let mut fired = 0usize;
-        for (id, token) in due {
-            if !self.conns.contains_key(&id) {
-                continue;
-            }
+    fn fire_due_timers(&mut self, now: SimTime) -> io::Result<usize> {
+        let due: Vec<(ConnId, u64)> = std::iter::from_fn(|| {
+            let Reverse((at, _, id, token)) = *self.timers.peek()?;
+            (at <= now).then(|| {
+                self.timers.pop();
+                (id, token)
+            })
+        })
+        .collect();
+        for &(id, token) in &due {
             self.stats.timers_fired += 1;
-            fired += 1;
             self.drive_endpoint(id, |ep, out| ep.on_timer(out, token))?;
         }
-        Ok(fired)
+        Ok(due.len())
     }
 
     /// Run one endpoint callback and apply its commands. The endpoint is
@@ -741,11 +550,12 @@ impl<E: Endpoint> MuxDriver<E> {
             match cmd {
                 Command::Transmit(t) => self.send_frame(id, peer, t)?,
                 Command::SetTimer { at, token } => {
-                    self.wheel.schedule(at, id, token);
+                    self.next_arm += 1;
+                    self.timers.push(Reverse((at, self.next_arm, id, token)));
                     self.stats.timer_wheel_high_water = self
                         .stats
                         .timer_wheel_high_water
-                        .max(self.wheel.len() as u64);
+                        .max(self.timers.len() as u64);
                 }
                 Command::Deliver { bytes, .. } => {
                     if let Some(conn) = self.conns.get_mut(&id) {
@@ -781,12 +591,7 @@ impl<E: Endpoint> MuxDriver<E> {
                     self.note_backlog_depth();
                     false
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionRefused
-                    ) =>
-                {
+                Err(e) if is_soft(&e) => {
                     self.stats.soft_errors += 1;
                     false
                 }
@@ -829,12 +634,7 @@ impl<E: Endpoint> MuxDriver<E> {
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionRefused
-                    ) =>
-                {
+                Err(e) if is_soft(&e) => {
                     self.stats.soft_errors += 1;
                     self.tx_backlog.pop_front();
                 }
@@ -843,6 +643,16 @@ impl<E: Endpoint> MuxDriver<E> {
         }
         Ok(())
     }
+}
+
+/// Soft per-datagram failures on UDP (ICMP port-unreachable reflected onto
+/// the socket): counted in [`MuxStats::soft_errors`], never loop-fatal —
+/// the armed protocol timers handle recovery.
+fn is_soft(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionRefused
+    )
 }
 
 /// Annotate a socket error with which mux of a pair raised it, keeping the
@@ -887,80 +697,138 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    #[test]
-    fn wheel_fires_in_deadline_then_arming_order() {
-        let mut w = TimerWheel::new(Duration::from_millis(1));
-        let c = ConnId(1);
-        w.schedule(t(30), c, 3);
-        w.schedule(t(10), c, 1);
-        w.schedule(t(10), c, 11); // same deadline, armed later
-        w.schedule(t(20), c, 2);
-        assert_eq!(w.len(), 4);
-        assert_eq!(w.next_deadline(), Some(t(10)));
-        assert_eq!(w.advance(t(5)), vec![]);
-        assert_eq!(w.advance(t(10)), vec![(c, 1), (c, 11)]);
-        assert_eq!(w.advance(t(40)), vec![(c, 2), (c, 3)]);
-        assert!(w.is_empty());
-        assert_eq!(w.next_deadline(), None);
+    /// Arms `(deadline, token)` pairs on start and logs every fired token
+    /// into a record shared across connections. The first fire re-arms
+    /// `rearm` at the callback's own `now`, when set.
+    struct Timed {
+        arm: Vec<(SimTime, u64)>,
+        rearm: Option<u64>,
+        fired: Rc<RefCell<Vec<u64>>>,
+    }
+    impl Endpoint for Timed {
+        fn on_start(&mut self, out: &mut Outbox) {
+            for &(at, token) in &self.arm {
+                out.set_timer_at(at, token);
+            }
+        }
+        fn on_timer(&mut self, out: &mut Outbox, token: u64) {
+            self.fired.borrow_mut().push(token);
+            if let Some(next) = self.rearm.take() {
+                out.set_timer_at(out.now, next);
+            }
+        }
+    }
+
+    /// A mux with one [`Timed`] connection per list of `(deadline, token)`
+    /// arms, added in order. Sweeps are driven with `fire_due_timers` at
+    /// explicit times on the mux's own axis, so no test waits on the wall
+    /// clock.
+    fn timer_rig(
+        arms: &[&[(SimTime, u64)]],
+    ) -> (MuxDriver<Timed>, Vec<ConnId>, Rc<RefCell<Vec<u64>>>) {
+        let mut mux: MuxDriver<Timed> = MuxDriver::bind("127.0.0.1:0").unwrap();
+        let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let ids = arms
+            .iter()
+            .zip(1..)
+            .map(|(arm, flow)| {
+                let ep = Timed {
+                    arm: arm.to_vec(),
+                    rearm: None,
+                    fired: fired.clone(),
+                };
+                mux.add_connection(peer, vec![flow], ep).unwrap()
+            })
+            .collect();
+        (mux, ids, fired)
+    }
+
+    /// Tokens fired by one sweep at `now`.
+    fn sweep(mux: &mut MuxDriver<Timed>, fired: &RefCell<Vec<u64>>, now: SimTime) -> Vec<u64> {
+        let n = mux.fire_due_timers(now).unwrap();
+        let got = std::mem::take(&mut *fired.borrow_mut());
+        assert_eq!(n, got.len());
+        got
     }
 
     #[test]
-    fn wheel_sub_slot_deadlines_do_not_fire_early() {
-        let mut w = TimerWheel::new(Duration::from_millis(1));
-        let c = ConnId(0);
-        w.schedule(SimTime::from_micros(1500), c, 7);
-        // Same slot as 1.0-1.999 ms, but not due at 1.2 ms.
-        assert_eq!(w.advance(SimTime::from_micros(1200)), vec![]);
-        assert_eq!(w.advance(SimTime::from_micros(1500)), vec![(c, 7)]);
+    fn timers_fire_in_deadline_then_arming_order_across_connections() {
+        // Token order differs from arming order on the tied deadline.
+        let (mut mux, _, fired) =
+            timer_rig(&[&[(t(30), 4), (t(10), 2)], &[(t(10), 1), (t(20), 3)]]);
+        assert_eq!(mux.timer_count(), 4);
+        assert_eq!(mux.poll_timeout(), Some(t(10)));
+        assert_eq!(sweep(&mut mux, &fired, t(5)), Vec::<u64>::new());
+        assert_eq!(sweep(&mut mux, &fired, t(10)), vec![2, 1]);
+        assert_eq!(sweep(&mut mux, &fired, t(40)), vec![3, 4]);
+        assert_eq!(mux.timer_count(), 0);
+        assert_eq!(mux.poll_timeout(), None);
+        assert_eq!(mux.stats().timers_fired, 4);
     }
 
     #[test]
-    fn wheel_handles_far_deadlines_via_overflow() {
-        let mut w = TimerWheel::new(Duration::from_millis(1));
-        let c = ConnId(2);
-        // Far beyond one 256-slot revolution.
-        w.schedule(t(10_000), c, 42);
-        w.schedule(t(5), c, 1);
-        assert_eq!(w.advance(t(100)), vec![(c, 1)]);
-        assert_eq!(w.advance(t(9_999)), vec![]);
-        assert_eq!(w.advance(t(10_000)), vec![(c, 42)]);
-        // A big jump straight over an overflow deadline still fires it.
-        w.schedule(t(90_000), c, 43);
-        assert_eq!(w.advance(t(200_000)), vec![(c, 43)]);
+    fn timers_never_fire_before_their_deadline() {
+        let us = SimTime::from_micros;
+        let (mut mux, _, fired) = timer_rig(&[&[(us(1500), 7)]]);
+        assert_eq!(sweep(&mut mux, &fired, us(1200)), Vec::<u64>::new());
+        assert_eq!(sweep(&mut mux, &fired, us(1499)), Vec::<u64>::new());
+        assert_eq!(sweep(&mut mux, &fired, us(1500)), vec![7]);
     }
 
     #[test]
-    fn wheel_cached_deadline_stays_exact_through_removals() {
-        let mut w = TimerWheel::new(Duration::from_millis(1));
-        let (a, b) = (ConnId(1), ConnId(2));
-        w.schedule(t(10), a, 1);
-        w.schedule(t(20), b, 2);
-        w.schedule(t(10_000), a, 3); // overflow
-        assert_eq!(w.next_deadline(), Some(t(10)));
-        // Firing invalidates the cache; the next query recomputes.
-        assert_eq!(w.advance(t(15)), vec![(a, 1)]);
-        assert_eq!(w.next_deadline(), Some(t(20)));
-        // Scheduling after a query keeps the cache exact.
-        w.schedule(t(18), b, 4);
-        assert_eq!(w.next_deadline(), Some(t(18)));
-        // Cancellation invalidates too, across slots and overflow.
-        w.cancel_conn(b);
-        assert_eq!(w.next_deadline(), Some(t(10_000)));
-        w.cancel_conn(a);
-        assert_eq!(w.next_deadline(), None);
+    fn far_deadlines_still_fire() {
+        let (mut mux, _, fired) = timer_rig(&[&[(t(10_000), 42), (t(5), 1), (t(90_000), 43)]]);
+        assert_eq!(sweep(&mut mux, &fired, t(100)), vec![1]);
+        assert_eq!(sweep(&mut mux, &fired, t(9_999)), Vec::<u64>::new());
+        assert_eq!(sweep(&mut mux, &fired, t(10_000)), vec![42]);
+        // A big jump straight over a far deadline still fires it.
+        assert_eq!(sweep(&mut mux, &fired, t(200_000)), vec![43]);
     }
 
     #[test]
-    fn wheel_cancel_conn_purges_only_that_connection() {
-        let mut w = TimerWheel::new(Duration::from_millis(1));
-        let (a, b) = (ConnId(1), ConnId(2));
-        w.schedule(t(10), a, 1);
-        w.schedule(t(10), b, 2);
-        w.schedule(t(10_000), a, 3); // overflow entry
-        w.schedule(t(20), b, 4);
-        w.cancel_conn(a);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.advance(t(20_000)), vec![(b, 2), (b, 4)]);
+    fn poll_timeout_stays_exact_through_fires_and_closes() {
+        let (mut mux, ids, fired) =
+            timer_rig(&[&[(t(10), 1), (t(10_000), 3)], &[(t(20), 2), (t(18), 4)]]);
+        let (a, b) = (ids[0], ids[1]);
+        assert_eq!(mux.poll_timeout(), Some(t(10)));
+        assert_eq!(sweep(&mut mux, &fired, t(15)), vec![1]);
+        assert_eq!(mux.poll_timeout(), Some(t(18)));
+        // Closing b removes the earliest entry and the one behind it.
+        mux.close(b).unwrap();
+        assert_eq!(mux.poll_timeout(), Some(t(10_000)));
+        mux.close(a).unwrap();
+        assert_eq!(mux.poll_timeout(), None);
+    }
+
+    #[test]
+    fn close_purges_only_its_own_timers() {
+        let (mut mux, ids, fired) =
+            timer_rig(&[&[(t(10), 1), (t(10_000), 3)], &[(t(10), 2), (t(20), 4)]]);
+        mux.close(ids[0]).unwrap();
+        assert_eq!(mux.timer_count(), 2);
+        assert_eq!(sweep(&mut mux, &fired, t(20_000)), vec![2, 4]);
+    }
+
+    #[test]
+    fn timer_armed_during_a_sweep_fires_on_the_next_drive_once() {
+        let mut mux: MuxDriver<Timed> = MuxDriver::bind("127.0.0.1:0").unwrap();
+        let peer: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let ep = Timed {
+            arm: vec![(SimTime::ZERO, 1)],
+            rearm: Some(2),
+            fired: fired.clone(),
+        };
+        mux.add_connection(peer, vec![1], ep).unwrap();
+        // Token 1's callback arms token 2 at its own `now`: already due
+        // when the sweep could look again, yet it waits for the next call.
+        mux.drive_once(Duration::ZERO).unwrap();
+        assert_eq!(*fired.borrow(), vec![1]);
+        assert_eq!(mux.timer_count(), 1);
+        mux.drive_once(Duration::ZERO).unwrap();
+        assert_eq!(*fired.borrow(), vec![1, 2]);
+        assert_eq!(mux.timer_count(), 0);
     }
 
     /// Echoes every datagram back with the header reversed, on `reply_flow`.
@@ -1227,10 +1095,7 @@ mod tests {
 
     #[test]
     fn connection_cap_stops_accepting() {
-        let cfg = MuxConfig {
-            max_conns: 1,
-            ..MuxConfig::default()
-        };
+        let cfg = MuxConfig { max_conns: 1 };
         let mut mux: MuxDriver<Echo> = MuxDriver::bind_with("127.0.0.1:0", cfg).unwrap();
         mux.set_acceptor(|_, frame| {
             Some(Accepted {

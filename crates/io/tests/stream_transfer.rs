@@ -6,7 +6,8 @@
 //!
 //! The mux test also pins the timer no-leak property: a session that
 //! completed its wire close and is then dropped from the mux leaves no
-//! entry behind in the [`TimerWheel`], and nothing resurrects one.
+//! entry behind in the mux's timer heap ([`MuxDriver::timer_count`]), and
+//! nothing resurrects one.
 
 use qtp_core::session::{ConnectionPlan, Profile, Session};
 use qtp_core::stream::{RecvStream, SendStream, StreamConfig, StreamError};
@@ -100,15 +101,14 @@ fn mux_stream_transfer_with_plan_accept_and_timer_drain() {
     assert!(accepts.is_empty(), "exactly one connection was accepted");
     assert_eq!(server.stats().conns_accepted, 1);
 
-    // Satellite property: dropping the closed sessions leaves no timer
-    // wheel entries behind — `cancel_conn` purges in-flight entries and a
-    // closed endpoint never re-arms.
+    // Dropping the closed sessions leaves no timer entries behind —
+    // `close` purges in-flight entries and a closed endpoint never re-arms.
     let rx_id = rx_id.unwrap();
     let tx_sess = client.close(tx_id).expect("client conn was live");
     assert!(tx_sess.is_closed());
     server.close(rx_id).expect("server conn was live");
-    assert_eq!(client.timer_count(), 0, "client wheel purged");
-    assert_eq!(server.timer_count(), 0, "server wheel purged");
+    assert_eq!(client.timer_count(), 0, "client timers purged");
+    assert_eq!(server.timer_count(), 0, "server timers purged");
     assert_eq!(client.poll_timeout(), None);
     assert_eq!(server.poll_timeout(), None);
 
